@@ -20,7 +20,6 @@ from .graphs import (
 )
 from .metrics import ContingencyTable, acc, nmi, purity
 from .numerics import (
-    ALMState,
     QPConvergenceError,
     SimplexQP,
     kkt_residual,
@@ -57,9 +56,9 @@ __all__ = [
     "count_components", "degrees", "extract_labels", "knn_bipartite_init",
     "sample_component_labels",
     "ContingencyTable", "acc", "nmi", "purity",
-    "ALMState", "QPConvergenceError", "SimplexQP", "kkt_residual", "kmeans",
-    "project_simplex", "project_rows_onto_simplex", "solve_simplex_qp",
-    "solve_simplex_qp_rows", "truncated_svd",
+    "QPConvergenceError", "SimplexQP", "kkt_residual", "kmeans", "project_simplex",
+    "project_rows_onto_simplex", "solve_simplex_qp", "solve_simplex_qp_rows",
+    "truncated_svd",
     "VARIANTS", "FitContext", "RankTargetError", "SolverConfig", "SolverState",
     "blend", "compute_q", "fit", "objective", "update_delta", "update_f",
     "update_p", "update_p_rows", "update_z",

@@ -30,8 +30,7 @@ EXIT_SOLVER = 3
 
 _SOLVER_KEYS = (
     "c", "alpha", "beta", "m", "K", "outer_max_iter", "outer_tol",
-    "gamma0", "gamma_min", "gamma_max", "p_inner_max",
-    "qp_tol", "qp_max_iter", "seed", "normalize",
+    "gamma0", "gamma_min", "gamma_max", "p_inner_max", "seed", "normalize",
     "delta_warm_start", "gamma_reset",
 )
 _TOP_KEYS = set(_SOLVER_KEYS) | {"manifest", "synth", "out_dir", "dump_consensus", "grid"}
@@ -225,11 +224,17 @@ def _grid_cell(task):
 
 
 def cmd_grid(args):
+    if args.subsample <= 0:
+        raise ConfigError(f"--subsample must be positive, got {args.subsample}")
+    try:
+        workers = int(os.environ.get("UDBGL_THREADS", "1") or "1")
+    except ValueError as exc:
+        raise ConfigError(f"UDBGL_THREADS must be an integer ({exc})") from exc
     raw = _load_config(args.config)
     base = str(Path(args.config).parent)
     ds = _dataset_from_config(raw, base)
     cfg = _solver_config(raw, ds)  # validates the base config early
-    n_used = min(ds.n, args.subsample) if args.subsample else ds.n
+    n_used = min(ds.n, args.subsample)
     cells = grid_cells(raw, cfg.c)
     tasks = []
     for cell in cells:
@@ -238,7 +243,6 @@ def cmd_grid(args):
         task_raw["_cap"] = args.subsample
         tasks.append((task_raw, cell, n_used))
 
-    workers = int(os.environ.get("UDBGL_THREADS", "1") or "1")
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_grid_cell, tasks))

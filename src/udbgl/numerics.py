@@ -1,6 +1,6 @@
 """Numerical kernels shared across the package: Euclidean simplex
-projection, seeded k-means, a Gram-route truncated SVD, and an augmented
-Lagrangian solver for simplex-constrained quadratic programs."""
+projection, seeded k-means, a Gram-route truncated SVD, and an exact
+batched active-set solver for simplex-constrained quadratic programs."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ __all__ = [
     "kmeans",
     "truncated_svd",
     "SimplexQP",
-    "ALMState",
     "QPConvergenceError",
     "solve_simplex_qp",
     "solve_simplex_qp_rows",
@@ -242,16 +241,6 @@ class SimplexQP:
             raise ValueError("H must be symmetric")
 
 
-@dataclass
-class ALMState:
-    """One sweep of the augmented Lagrangian iteration (for observers)."""
-
-    x: np.ndarray
-    rho: np.ndarray
-    eta: np.ndarray
-    mu: float
-
-
 class QPConvergenceError(RuntimeError):
     pass
 
@@ -261,6 +250,10 @@ def _check_psd(H):
     if w[0] < -1e-8:
         raise ValueError(f"H is not positive semi-definite (lambda_min={w[0]:.3e})")
     return w
+
+
+def _row_obj(H, F, X):
+    return np.einsum("ij,ij->i", X @ H, X) - np.einsum("ij,ij->i", X, F)
 
 
 def _kkt_rows(H, F, X, active_tol=1e-9):
@@ -274,144 +267,148 @@ def _kkt_rows(H, F, X, active_tol=1e-9):
     return np.maximum(r, np.maximum(-X, 0.0).max(axis=1))
 
 
-def _support_kkt_point(H, f, idx):
-    # equality-constrained minimizer restricted to the support idx:
-    # [2 H_SS, -1; 1^T, 0] [x_S; lam] = [f_S; 1], i.e. 2 H x - f = lam on S
-    s = len(idx)
-    K = np.zeros((s + 1, s + 1))
-    K[:s, :s] = 2.0 * H[np.ix_(idx, idx)]
-    K[:s, s] = -1.0
-    K[s, :s] = 1.0
-    rhs = np.append(f[idx], 1.0)
+def _support_kkt_points(H, F, idx):
+    # equality-constrained minimizers restricted to each row's support
+    # idx[i] (all of one size s): [2 H_SS, -1; 1^T, 0] [x_S; lam] = [f_S; 1],
+    # i.e. 2 H x - f = lam on S, as one stack of (s+1) x (s+1) systems
+    r, s = idx.shape
+    K = np.zeros((r, s + 1, s + 1))
+    K[:, :s, :s] = 2.0 * H[idx[:, :, None], idx[:, None, :]]
+    K[:, :s, s] = -1.0
+    K[:, s, :s] = 1.0
+    rhs = np.ones((r, s + 1, 1))
+    rhs[:, :s, 0] = np.take_along_axis(F, idx, axis=1)
     try:
         sol = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError:
-        sol = None
-    if sol is None or not np.all(np.isfinite(sol)):
-        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-    return sol[:s], float(sol[s])
+        # singular H_SS (e.g. duplicated views in the delta Gram matrix)
+        sol = np.linalg.pinv(K) @ rhs
+    return sol[:, :s, 0], sol[:, s, 0]
 
 
-def _polish_active_set(H, f, x):
-    """Finish a nearly-converged simplex QP exactly.
+def _active_set(H, F, X, sweep_hook):
+    """Primal active-set solve of every row of X at once.
 
-    Guess the active set from x, solve the equality-constrained KKT system
-    on the support, then pivot: drop the most negative primal coordinate or
-    add the most violated dual one. Returns the KKT point, or None when
-    pivoting cycles or exhausts its budget (caller re-checks the residual
-    either way).
+    Starts from the support of X. Each round groups the unfinished rows by
+    support size, solves their KKT systems as one stack per size, then per
+    row drops the most negative coordinate or adds the most violated dual
+    one; a row with neither is finished. Returns the solutions and a mask
+    of failed rows (support emptied, cycled, or out of rounds), which keep
+    their start.
     """
-    m = H.shape[0]
-    sup = set(np.flatnonzero(x > 1e-9).tolist())
-    if not sup:
-        sup = {int(np.argmin(np.diag(H) - f))}
-    seen = set()
-    for _ in range(3 * m + 30):
-        key = frozenset(sup)
-        if key in seen:
-            return None
-        seen.add(key)
-        idx = sorted(sup)
-        xs, lam = _support_kkt_point(H, f, idx)
-        neg = int(np.argmin(xs))
-        if xs[neg] < -1e-12:
-            sup.discard(idx[neg])
-            if not sup:
-                return None
-            continue
-        full = np.zeros(m)
-        full[idx] = np.maximum(xs, 0.0)
-        g = 2.0 * H @ full - f
-        off = np.setdiff1d(np.arange(m), idx, assume_unique=True)
-        if off.size:
-            nu = g[off] - lam
-            j = int(np.argmin(nu))
-            if nu[j] < -1e-10 * max(1.0, float(np.abs(g).max())):
-                sup.add(int(off[j]))
-                continue
-        return full
-    return None
+    r, m = X.shape
+    out = X.copy()
+    sup = X > 1e-9  # nonempty: the rows of X lie on the simplex
+    saved = np.zeros_like(sup)
+    todo = np.ones(r, dtype=bool)
+    failed = np.zeros(r, dtype=bool)
+    for rnd in range(3 * m + 30):
+        p = np.flatnonzero(todo)
+        if not p.size:
+            break
+        if sweep_hook is not None:
+            sweep_hook("active_set", p.size)
+        size = sup[p].sum(axis=1)
+        for s in np.unique(size):
+            g = p[size == s]
+            idx = np.nonzero(sup[g])[1].reshape(g.size, s)
+            xs, lam = _support_kkt_points(H, F[g], idx)
+            neg = np.argmin(xs, axis=1)
+            drop = xs.min(axis=1) < -1e-12
+            sup[g[drop], idx[drop, neg[drop]]] = False
+            g, idx, xs, lam = g[~drop], idx[~drop], xs[~drop], lam[~drop]
+            full = np.zeros((g.size, m))
+            np.put_along_axis(full, idx, np.maximum(xs, 0.0), axis=1)
+            grad = 2.0 * (full @ H) - F[g]
+            nu = np.where(sup[g], np.inf, grad - lam[:, None])
+            j = np.argmin(nu, axis=1)
+            add = nu.min(axis=1) < -1e-10 * np.maximum(1.0, np.abs(grad).max(axis=1))
+            sup[g[add], j[add]] = True
+            done = g[~add]
+            out[done] = full[~add]
+            todo[done] = False
+        # an emptied support fails the row, and so does a support seen
+        # before (the pivoting cycles): compare with the support saved at
+        # the end of rounds 1, 2, 4, 8, ... (Brent's cycle detection)
+        p = p[todo[p]]
+        stop = p[~sup[p].any(axis=1) | np.all(sup[p] == saved[p], axis=1)]
+        failed[stop] = todo[stop] = False
+        if rnd & (rnd + 1) == 0:
+            saved[p] = sup[p]
+    failed |= todo
+    return out, failed
 
 
-def solve_simplex_qp_rows(H, F, x0, tol=1e-8, max_iter=1000, kkt_tol=1e-6,
-                          polish=True, sweep_hook=None):
+def _restarted_gradient(H, F, X, lam_max, sweep_hook):
+    # 500 sweeps of accelerated projected gradient (Beck & Teboulle
+    # 2009) with function-value restart (O'Donoghue & Candes 2015), one step
+    # size 1 / (2 lambda_max(H)) for every row
+    step = 1.0 / (2.0 * max(lam_max, 1e-12))
+    y, t = X.copy(), np.ones(len(X))
+    obj = _row_obj(H, F, X)
+    for _ in range(500):
+        nxt = project_rows_onto_simplex(y - step * (2.0 * (y @ H) - F))
+        if sweep_hook is not None:
+            sweep_hook("gradient", len(X))
+        nobj = _row_obj(H, F, nxt)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        restart = nobj > obj
+        beta = np.where(restart, 0.0, (t - 1.0) / t_next)
+        y = nxt + beta[:, None] * (nxt - X)
+        t = np.where(restart, 1.0, t_next)
+        X, obj = nxt, nobj
+    return X
+
+
+def solve_simplex_qp_rows(H, F, x0, kkt_tol=1e-6, sweep_hook=None):
     """Solve min_x x H x^T - x f^T over the simplex for every row at once.
 
-    All rows share the same H; F stacks one f per row. The split-variable
-    augmented Lagrangian alternates a closed-form rho step, a simplex
-    projection x step, and the multiplier update eta += mu (x - rho) with
-    mu doubled up to a cap of max(2, 2.05 * lambda_max(H)); past the cap
-    the fixed-penalty iteration contracts linearly toward the KKT point.
-    Per row, the best iterate by QP objective (warm start included) is
-    kept, which also makes warm-started solves monotone.
+    All rows share the same H; F stacks one f per row. The solve is an
+    exact primal active-set method started from the support of the warm
+    start ``x0`` (projected onto the simplex), with the KKT systems of all
+    unfinished rows of one support size solved as one batch per round.
+    Rows that empty their support, cycle, run out of rounds or end over
+    kkt_tol (singular H_SS) are restarted from an accelerated projected
+    gradient run from their warm start, then given a second active-set
+    pass. A warm start that scores better than the solution and is itself
+    KKT-certified is kept, which makes warm-started solves monotone.
 
-    ||x - rho||_inf < tol is only the sweep stopping rule; what callers
-    rely on is the returned KKT residual, so every row is gated on
-    kkt_tol at exit. Rows over the gate (ill-conditioned H makes the
-    sweeps crawl along flat directions) are finished by an exact
-    active-set solve on the identified support when ``polish`` is on.
+    ``sweep_hook(kind, n_rows)``, when given, is called once per active-set
+    round (kind "active_set") and once per gradient sweep (kind
+    "gradient") with the number of rows still being worked on.
 
-    Raises QPConvergenceError when some row still exceeds kkt_tol after
-    the sweeps and, if enabled, the polish.
+    Raises QPConvergenceError when some row ends over kkt_tol.
     """
     H = np.asarray(H, dtype=float)
     F = np.asarray(F, dtype=float)
     w = _check_psd(H)
-    mu_cap = min(max(2.0, 2.05 * float(w[-1])), 1e12)
-    x = project_rows_onto_simplex(x0)
-    eta = np.zeros_like(x)
-    mu = 2.0
-
-    def row_obj(z):
-        return np.einsum("ij,ij->i", z @ H, z) - np.einsum("ij,ij->i", z, F)
-
-    best = x.copy()
-    best_obj = row_obj(x)
-    sweeps = 0
-    for _ in range(max_iter):
-        sweeps += 1
-        rho = x + (eta - x @ H) / mu
-        x = project_rows_onto_simplex(rho - (eta + rho @ H - F) / mu)
-        if sweep_hook is not None:
-            sweep_hook(x, rho, eta, mu)
-        eta = eta + mu * (x - rho)
-        obj = row_obj(x)
-        gain = obj < best_obj
-        best[gain] = x[gain]
-        best_obj = np.minimum(best_obj, obj)
-        mu = min(2.0 * mu, mu_cap)
-        if np.abs(x - rho).max() < tol:
-            break
-    residuals = _kkt_rows(H, F, best)
-    for i in np.flatnonzero(residuals > kkt_tol):
-        xi = _polish_active_set(H, F[i], best[i]) if polish else None
-        ri = _kkt_rows(H, F[i : i + 1], xi[None, :])[0] if xi is not None else residuals[i]
-        if ri > kkt_tol:
-            raise QPConvergenceError(
-                f"row {i}: KKT residual {ri:.3e} exceeds {kkt_tol:g} after "
-                f"{sweeps} sweeps" + (" and active-set polish" if polish else "")
-            )
-        best[i] = xi
-    return best
+    warm = project_rows_onto_simplex(x0)
+    x, failed = _active_set(H, F, warm, sweep_hook)
+    failed |= ~(_kkt_rows(H, F, x) <= kkt_tol)  # NaN fails too
+    if failed.any():
+        Ff = F[failed]
+        pg = _restarted_gradient(H, Ff, warm[failed], float(w[-1]), sweep_hook)
+        x2, _ = _active_set(H, Ff, pg, sweep_hook)
+        better = _kkt_rows(H, Ff, x2) <= _kkt_rows(H, Ff, pg)
+        x[failed] = np.where(better[:, None], x2, pg)
+    keep = (_row_obj(H, F, warm) < _row_obj(H, F, x)) & (_kkt_rows(H, F, warm) <= kkt_tol)
+    x[keep] = warm[keep]
+    residuals = _kkt_rows(H, F, x)
+    over = np.flatnonzero(~(residuals <= kkt_tol))
+    if over.size:
+        i = over[0]
+        raise QPConvergenceError(
+            f"row {i}: KKT residual {residuals[i]:.3e} exceeds {kkt_tol:g} "
+            "after the active-set and gradient passes"
+        )
+    return x
 
 
-def solve_simplex_qp(qp, x0, tol=1e-8, max_iter=1000, kkt_tol=1e-6,
-                     polish=True, callback=None):
-    """Solve a SimplexQP from the starting point ``x0``.
-
-    Thin single-vector wrapper around solve_simplex_qp_rows. ``callback``,
-    when given, receives an ALMState after each x step (before the
-    multiplier update).
-    """
+def solve_simplex_qp(qp, x0, kkt_tol=1e-6):
+    """Solve a SimplexQP from the starting point ``x0``: a single-vector
+    wrapper around solve_simplex_qp_rows."""
     x0 = np.asarray(x0, dtype=float)
-    hook = None
-    if callback is not None:
-        def hook(x, rho, eta, mu):
-            callback(ALMState(x=x[0].copy(), rho=rho[0].copy(), eta=eta[0].copy(), mu=mu))
-    out = solve_simplex_qp_rows(qp.H, qp.f[None, :], x0[None, :], tol=tol,
-                                max_iter=max_iter, kkt_tol=kkt_tol,
-                                polish=polish, sweep_hook=hook)
-    return out[0]
+    return solve_simplex_qp_rows(qp.H, qp.f[None, :], x0[None, :], kkt_tol=kkt_tol)[0]
 
 
 def kkt_residual(qp, x, active_tol=1e-9):

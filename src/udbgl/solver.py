@@ -77,11 +77,9 @@ class SolverConfig:
     gamma_min: float = 1e-8
     gamma_max: float = 1e8
     p_inner_max: int = 60
-    qp_tol: float = 1e-8
-    qp_max_iter: int = 1000
     seed: int = 0
     normalize: str = "minmax"
-    delta_warm_start: bool = False  # default resets delta to 1/V before its ALM loop
+    delta_warm_start: bool = False  # default starts the delta QP from 1/V, not the last delta
     gamma_reset: bool = True        # default restarts gamma at gamma0 every outer iteration
 
     def resolved_m(self):
@@ -107,7 +105,7 @@ class SolverConfig:
             raise ValueError("gamma bounds must be positive with min <= max")
         if not self.gamma_min <= self.gamma0 <= self.gamma_max:
             raise ValueError("gamma0 must lie within [gamma_min, gamma_max]")
-        if self.outer_max_iter < 1 or self.p_inner_max < 1 or self.qp_max_iter < 1:
+        if self.outer_max_iter < 1 or self.p_inner_max < 1:
             raise ValueError("iteration caps must be positive")
         if self.normalize not in ("minmax", "zscore"):
             raise ValueError(f"unknown normalization scheme {self.normalize!r}")
@@ -245,13 +243,14 @@ def update_p(b, c, cfg, sweep_hook=None, gamma_start=None):
     )
 
 
-def update_z(v, x, a, zs, delta, p, alpha, beta, qp_tol=1e-8, qp_max_iter=1000):
+def update_z(v, x, a, zs, delta, p, alpha, beta):
     """Refresh view v's bipartite graph by its n row QPs.
 
     Every row shares the Hessian H = A^T A + (alpha + beta delta_v^2) I;
     row j's linear term couples its feature column, the other views'
-    blended rows, and the consensus row. Rows warm-start from the current
-    graph and are solved as one batched simplex QP.
+    blended rows, and the consensus row. All rows are solved exactly by
+    one batched active-set solve started from the current graph's
+    supports, so a row never scores worse than its current value.
     """
     pw = _weights(p)
     mats = [_weights(z) for z in zs]
@@ -263,21 +262,23 @@ def update_z(v, x, a, zs, delta, p, alpha, beta, qp_tol=1e-8, qp_max_iter=1000):
     h = a.T @ a + (alpha + beta * delta[v] ** 2) * np.eye(m)
     fbar = -2.0 * (x.T @ a) + 2.0 * beta * delta[v] * (rest - pw)
     try:
-        znew = solve_simplex_qp_rows(h, -fbar, mats[v], tol=qp_tol, max_iter=qp_max_iter)
+        znew = solve_simplex_qp_rows(h, -fbar, mats[v])
     except QPConvergenceError as exc:
         raise QPConvergenceError(f"view {v}: {exc}") from exc
     return ViewBipartiteGraph(znew)
 
 
-def update_delta(zs, p, delta_prev=None, warm_start=False, qp_tol=1e-8, qp_max_iter=1000):
+def update_delta(zs, p, delta_prev=None, warm_start=False):
     """Adaptive view weights: minimize ||sum_v delta_v Z_v - P||_F^2 over
     the simplex.
 
     The QP data never materializes the stacked nm x V matrix: H is the
-    V x V Gram of the vectorized graphs, f_v = 2 <Z_v, P>_F. The ALM starts
-    from 1/V by default; ``warm_start`` starts from ``delta_prev`` instead.
-    Whatever the start, a ``delta_prev`` that scores better than the solve
-    is kept, so the blend penalty never increases across outer iterations.
+    V x V Gram of the vectorized graphs, f_v = 2 <Z_v, P>_F. H is singular
+    when two views carry the same graph. The active-set solve starts from
+    the support of 1/V by default; ``warm_start`` starts from ``delta_prev``
+    instead. Whatever the start, a ``delta_prev`` that scores better than
+    the solve is kept, so the blend penalty never increases across outer
+    iterations.
     """
     mats = [_weights(z) for z in zs]
     pw = _weights(p)
@@ -291,7 +292,7 @@ def update_delta(zs, p, delta_prev=None, warm_start=False, qp_tol=1e-8, qp_max_i
         x0 = np.asarray(delta_prev, dtype=float)
     else:
         x0 = np.full(nviews, 1.0 / nviews)
-    delta = solve_simplex_qp(SimplexQP(h, f), x0, tol=qp_tol, max_iter=qp_max_iter)
+    delta = solve_simplex_qp(SimplexQP(h, f), x0)
     if delta_prev is not None:
         prev = np.asarray(delta_prev, dtype=float)
         if prev @ h @ prev - prev @ f < delta @ h @ delta - delta @ f:
@@ -351,11 +352,8 @@ def fit(ds, cfg, variant="full", callback=None, p_sweep_hook=None):
         # with beta = 0 the row QPs decouple from P, delta, and the other
         # views, so one exact pass is already the converged first phase
         seed_p = blend(zs, delta)
-        zs = [
-            update_z(v, ds_n.views[v], anchors.per_view[v], zs, delta, seed_p,
-                     cfg.alpha, 0.0, qp_tol=cfg.qp_tol, qp_max_iter=cfg.qp_max_iter)
-            for v in range(nviews)
-        ]
+        zs = [update_z(v, ds_n.views[v], anchors.per_view[v], zs, delta, seed_p, cfg.alpha, 0.0)
+              for v in range(nviews)]
     timings["init"] = time.perf_counter() - t
 
     state = SolverState(
@@ -386,19 +384,13 @@ def fit(ds, cfg, variant="full", callback=None, p_sweep_hook=None):
 
         if variant == "full":
             for v in range(nviews):
-                state.zs[v] = update_z(
-                    v, ds_n.views[v], anchors.per_view[v], state.zs, state.delta,
-                    state.p, cfg.alpha, cfg.beta,
-                    qp_tol=cfg.qp_tol, qp_max_iter=cfg.qp_max_iter,
-                )
+                state.zs[v] = update_z(v, ds_n.views[v], anchors.per_view[v], state.zs,
+                                       state.delta, state.p, cfg.alpha, cfg.beta)
                 if callback is not None:
                     callback(f"update_z:{v}", state, ctx)
 
-        state.delta = update_delta(
-            state.zs, state.p, delta_prev=state.delta,
-            warm_start=cfg.delta_warm_start,
-            qp_tol=cfg.qp_tol, qp_max_iter=cfg.qp_max_iter,
-        )
+        state.delta = update_delta(state.zs, state.p, delta_prev=state.delta,
+                                   warm_start=cfg.delta_warm_start)
         if callback is not None:
             callback("update_delta", state, ctx)
 

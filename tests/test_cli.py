@@ -237,6 +237,31 @@ def test_grid_subsample_caps_n(tmp_path):
     assert len([r for r in report["cells"] if "metrics" in r]) == 2
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_grid_nonpositive_subsample_exits_2(tmp_path, capsys, cap):
+    cfg = grid_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["grid", "--config", cfg, "--subsample", cap,
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "--subsample must be positive" in capsys.readouterr().err
+    assert not (out / "grid_report.json").exists()
+
+
+def test_grid_non_integer_threads_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("UDBGL_THREADS", "two")
+    cfg = grid_config(tmp_path)
+    assert main(["grid", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "error:" in err and "UDBGL_THREADS" in err and "'two'" in err
+
+
+def test_removed_qp_keys_exit_2(tmp_path, capsys):
+    for key, value in (("qp_tol", 1e-8), ("qp_max_iter", 1000)):
+        cfg = write_config(tmp_path, **SYNTH, **{key: value})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+
 def test_grid_parallel_matches_serial(tmp_path, monkeypatch):
     cfg = grid_config(tmp_path)
     out1, out2 = tmp_path / "serial", tmp_path / "par"

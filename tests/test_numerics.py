@@ -5,7 +5,6 @@ import pytest
 from conftest import projection_oracle, simplex_qp_oracle
 
 from udbgl.numerics import (
-    ALMState,
     QPConvergenceError,
     SimplexQP,
     kkt_residual,
@@ -258,19 +257,18 @@ def test_solve_matches_grid_search():
     assert np.abs(x - best).max() <= 2e-3
 
 
-def test_solve_mu_non_decreasing_and_state_shapes():
+def test_solve_sweep_hook_sees_every_call_and_rows_are_certified():
     rng = np.random.default_rng(12)
-    a = rng.standard_normal((3, 3))
-    qp = SimplexQP(a.T @ a, rng.standard_normal(3))
-    mus, shapes = [], set()
-    def cb(state):
-        assert isinstance(state, ALMState)
-        mus.append(state.mu)
-        shapes.update({state.x.shape, state.rho.shape, state.eta.shape})
-    solve_simplex_qp(qp, np.full(3, 1 / 3), callback=cb)
-    assert len(mus) >= 2
-    assert all(b >= a for a, b in zip(mus, mus[1:]))
-    assert shapes == {(3,)}
+    for m in (1, 3, 6):
+        a = rng.standard_normal((m, m))
+        h = a.T @ a + 1e-2 * np.eye(m)
+        F = rng.standard_normal((8, m)) * 3.0
+        calls = []
+        out = solve_simplex_qp_rows(h, F, np.full((8, m), 1.0 / m),
+                                    sweep_hook=lambda *args: calls.append(args))
+        assert len(calls) >= 1
+        for i in range(8):
+            assert kkt_residual(SimplexQP(h, F[i]), out[i]) <= 1e-6
 
 
 def test_solve_warm_start_never_worse():
@@ -286,7 +284,7 @@ def test_solve_warm_start_never_worse():
 
 
 def _stiff_instance():
-    # kappa ~ 2000 Hessian: the ALM sweeps crawl along the flat direction
+    # kappa ~ 2000 Hessian: first-order sweeps crawl along the flat direction
     rng = np.random.default_rng(7)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     h = q @ np.diag([400.0, 4.0, 0.2]) @ q.T
@@ -302,10 +300,21 @@ def test_solve_polish_finishes_stiff_instance():
     assert kkt_residual(qp, x) <= 1e-6
 
 
-def test_solve_without_polish_raises_on_stiff_instance():
+def test_solve_kkt_gate_raises_on_stiff_instance():
+    # the active-set answer here has a KKT residual of exactly 0.0, so only a
+    # tolerance no row can meet makes the gate fire (after the fallback)
     h, f = _stiff_instance()
     with pytest.raises(QPConvergenceError, match="row 0"):
-        solve_simplex_qp(SimplexQP(h, f), np.full(3, 1 / 3), polish=False)
+        solve_simplex_qp(SimplexQP(h, f), np.full(3, 1 / 3), kkt_tol=-1.0)
+
+
+def test_solve_linear_objective_reaches_vertex():
+    # H = 0 makes every KKT system of two or more coordinates singular; the
+    # pseudo-inverse answer on the full support is not optimal, so the row
+    # must be finished by the gradient fallback
+    f = np.array([0.3, 1.2, -0.5, 0.9])
+    x = solve_simplex_qp(SimplexQP(np.zeros((4, 4)), f), np.full(4, 0.25))
+    assert np.array_equal(x, [0.0, 1.0, 0.0, 0.0])
 
 
 def test_batched_rows_match_single_solves():
@@ -328,6 +337,27 @@ def test_batched_rows_satisfy_simplex_constraints():
     out = solve_simplex_qp_rows(h, F, np.full((30, 5), 0.2))
     assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-8
     assert out.min() >= -1e-12
+
+
+def test_batched_rows_span_support_sizes_and_match_oracle():
+    # Z-shaped rows (H = A^T A + c I) whose optima have supports of several
+    # sizes, so the solve batches rows of different sizes in one call
+    rng = np.random.default_rng(16)
+    for c in (1e-3, 1.0):
+        for m in (2, 5, 8):
+            a = rng.standard_normal((m + 2, m))
+            h = a.T @ a + c * np.eye(m)
+            F = 2.0 * rng.standard_normal((40, m)) @ a.T @ a
+            F *= rng.choice([0.1, 1.0, 10.0], size=(40, 1))
+            kinds = []
+            out = solve_simplex_qp_rows(h, F, np.full((40, m), 1.0 / m),
+                                        sweep_hook=lambda kind, n: kinds.append(kind))
+            assert set(kinds) == {"active_set"}  # no row needed the fallback
+            best = np.array([simplex_qp_oracle(h, f) for f in F])
+            if m >= 5:
+                sizes = set(np.count_nonzero(best > 1e-12, axis=1).tolist())
+                assert len(sizes) >= 3, sizes
+            assert np.abs(out - best).max() <= 1e-8
 
 
 def test_kkt_residual_flags_non_optimal_points():

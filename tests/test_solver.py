@@ -389,6 +389,23 @@ def test_update_delta_matches_1d_grid():
         assert abs(out.sum() - 1.0) <= 1e-8
 
 
+def test_update_delta_identical_views_singular_gram():
+    # two views with the same graph: the Gram H is singular, and so is the
+    # KKT system on any support holding both views
+    rng = np.random.default_rng(15)
+    for _ in range(5):
+        z = random_row_stochastic(rng, 6, 3)
+        p = random_row_stochastic(rng, 6, 3)
+        other = random_row_stochastic(rng, 6, 3)
+        for mats in ([z, z], [z, z, other]):
+            zs = [ViewBipartiteGraph(m.copy()) for m in mats]
+            for prev in (None, np.full(len(mats), 1.0 / len(mats))):
+                out = update_delta(zs, ConsensusBipartiteGraph(p), delta_prev=prev,
+                                   warm_start=prev is not None)
+                assert np.all(np.isfinite(out)) and out.min() >= 0.0
+                assert abs(out.sum() - 1.0) <= 1e-12
+
+
 def test_update_delta_never_worse_than_previous():
     rng = np.random.default_rng(14)
     def fusion(delta, mats, p):
