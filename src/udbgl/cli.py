@@ -191,7 +191,7 @@ def grid_cells(raw, c):
 
 
 def _subsample(ds, cap, seed):
-    if cap is None or ds.n <= cap:
+    if ds.n <= cap:
         return ds
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(ds.n, size=cap, replace=False))
@@ -201,16 +201,14 @@ def _subsample(ds, cap, seed):
 
 
 def _grid_cell(task):
-    raw, cell, n = task
+    raw, cell, ds = task
     merged = {k: v for k, v in raw.items() if k not in ("grid", "out_dir")}
     merged.update(cell)
     row = dict(cell)
-    if cell["m"] > n:
-        row.update({"skipped": f"m={cell['m']} exceeds n={n}"})
+    if cell["m"] > ds.n:
+        row.update({"skipped": f"m={cell['m']} exceeds n={ds.n}"})
         return row
     try:
-        ds = _dataset_from_config(merged, merged.pop("_base", "."))
-        ds = _subsample(ds, merged.pop("_cap", None), merged.get("seed", 0))
         cfg = _solver_config(merged, ds)
         labels, state = fit(ds, cfg)
         row.update({
@@ -231,17 +229,11 @@ def cmd_grid(args):
     except ValueError as exc:
         raise ConfigError(f"UDBGL_THREADS must be an integer ({exc})") from exc
     raw = _load_config(args.config)
-    base = str(Path(args.config).parent)
-    ds = _dataset_from_config(raw, base)
+    ds = _dataset_from_config(raw, Path(args.config).parent)
     cfg = _solver_config(raw, ds)  # validates the base config early
-    n_used = min(ds.n, args.subsample)
-    cells = grid_cells(raw, cfg.c)
-    tasks = []
-    for cell in cells:
-        task_raw = dict(raw)
-        task_raw["_base"] = base
-        task_raw["_cap"] = args.subsample
-        tasks.append((task_raw, cell, n_used))
+    ds = _subsample(ds, args.subsample, raw.get("seed", 0))
+    n_used = ds.n
+    tasks = [(raw, cell, ds) for cell in grid_cells(raw, cfg.c)]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

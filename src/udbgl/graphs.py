@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "EDGE_EPS",
@@ -89,27 +91,13 @@ def degrees(graph):
     return d_n, d_m
 
 
-def _union_find_roots(w, eps):
-    # union by smallest index with path halving; the root of any component
-    # containing a sample is that component's smallest sample index
+def _components(w, eps):
+    # scipy component id of every node of the (n+m)-node bipartite graph
+    # whose edges are entries > eps: sample i is node i, anchor j node n + j
     n, m = w.shape
-    parent = np.arange(n + m)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     rows, cols = np.nonzero(w > eps)
-    for i, j in zip(rows.tolist(), (cols + n).tolist()):
-        ra, rb = find(i), find(j)
-        if ra != rb:
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-    return np.fromiter((find(a) for a in range(n + m)), dtype=int, count=n + m)
+    adj = csr_matrix((np.ones(rows.size), (rows, cols + n)), shape=(n + m, n + m))
+    return connected_components(adj, directed=False)
 
 
 def count_components(graph, eps=EDGE_EPS):
@@ -117,8 +105,7 @@ def count_components(graph, eps=EDGE_EPS):
     are entries > eps. Counts every component, including anchor-only ones;
     equals the multiplicity of eigenvalue 0 of the normalized Laplacian of
     the same thresholded graph."""
-    w = _weights(graph)
-    return int(np.unique(_union_find_roots(w, eps)).size)
+    return _components(_weights(graph), eps)[0]
 
 
 def sample_component_labels(graph, eps=EDGE_EPS):
@@ -129,12 +116,11 @@ def sample_component_labels(graph, eps=EDGE_EPS):
     """
     w = _weights(graph)
     n = w.shape[0]
-    roots = _union_find_roots(w, eps)
-    sample_roots = roots[:n]
-    uniq = np.unique(sample_roots)          # sorted == order of smallest sample index
-    labels = np.searchsorted(uniq, sample_roots)
-    anchor_only = int(np.setdiff1d(roots[n:], uniq).size)
-    return labels.astype(int), int(uniq.size), anchor_only
+    k, comp = _components(w, eps)
+    uniq, first = np.unique(comp[:n], return_index=True)
+    rank = np.empty(k, dtype=int)
+    rank[uniq[np.argsort(first)]] = np.arange(uniq.size)
+    return rank[comp[:n]], uniq.size, k - uniq.size
 
 
 def knn_bipartite_init(x, a, k):

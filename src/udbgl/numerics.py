@@ -57,20 +57,21 @@ def project_simplex(v):
 # ---------------------------------------------------------------------------
 # k-means
 
-def _sqdist(a, b):
-    # squared Euclidean distances between rows of a and rows of b
-    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+def _sqdist(a, b, aa):
+    # squared Euclidean distances between rows of a and rows of b, with
+    # aa = (a * a).sum(axis=1) computed once by the caller
+    d2 = aa[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
     return np.maximum(d2, 0.0)
 
 
-def _kmeanspp(x, k, rng):
+def _kmeanspp(x, xx, k, rng):
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
     chosen = np.zeros(n, dtype=bool)
     idx = int(rng.integers(n))
     centers[0] = x[idx]
     chosen[idx] = True
-    closest = _sqdist(x, centers[:1])[:, 0]
+    closest = _sqdist(x, centers[:1], xx)[:, 0]
     for j in range(1, k):
         total = closest.sum()
         if total > 0:
@@ -82,30 +83,43 @@ def _kmeanspp(x, k, rng):
             idx = int(np.flatnonzero(~chosen)[0])
         centers[j] = x[idx]
         chosen[idx] = True
-        closest = np.minimum(closest, _sqdist(x, centers[j : j + 1])[:, 0])
+        closest = np.minimum(closest, _sqdist(x, centers[j : j + 1], xx)[:, 0])
     return centers
 
 
+def _fill_empty(x, xx, centers, assign, d2, counts):
+    # each empty cluster, in index order, seizes the point farthest from its
+    # center among clusters that keep another member; none is emptied, so
+    # one pass fills them all when k <= n
+    rows = np.arange(len(assign))
+    for j in np.flatnonzero(counts == 0):
+        owned = np.where(counts[assign] > 1, d2[rows, assign], -1.0)
+        far = int(np.argmax(owned))
+        counts[assign[far]] -= 1
+        counts[j] = 1
+        centers[j] = x[far]
+        assign[far] = j
+        d2[:, j] = _sqdist(x, centers[j : j + 1], xx)[:, 0]
+
+
 def _lloyd(x, k, rng, max_iter):
-    n = x.shape[0]
-    centers = _kmeanspp(x, k, rng)
+    xx = (x * x).sum(axis=1)
+    centers = _kmeanspp(x, xx, k, rng)
     assign = None
     trace = []
     for _ in range(max_iter):
-        d2 = _sqdist(x, centers)
+        d2 = _sqdist(x, centers, xx)
         new_assign = np.argmin(d2, axis=1)
-        for j in range(k):
-            if not np.any(new_assign == j):
-                owned = d2[np.arange(n), new_assign]
-                far = int(np.argmax(owned))
-                centers[j] = x[far]
-                new_assign[far] = j
-                d2[:, j] = _sqdist(x, centers[j : j + 1])[:, 0]
+        counts = np.bincount(new_assign, minlength=k)
+        if not counts.all():
+            _fill_empty(x, xx, centers, new_assign, d2, counts)
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for j in range(k):
-            centers[j] = x[assign == j].mean(axis=0)
+        # sequential per-cluster sums: bit-identical to x[assign == j].mean(0)
+        # for two or more features (numpy sums a single column pairwise)
+        for f in range(x.shape[1]):
+            centers[:, f] = np.bincount(assign, weights=x[:, f], minlength=k) / counts
         trace.append(float(((x - centers[assign]) ** 2).sum()))
     return centers, assign, trace
 
@@ -130,8 +144,9 @@ def kmeans(points, k, seed=0, max_iter=100, n_init=10, sse_trace=None):
     centers : (d, k) array.
     assignments : (n,) int array.
 
-    Empty clusters are repaired by seizing the point farthest from its
-    current center. Ties in assignment go to the lowest center index.
+    An empty cluster is repaired by seizing the point farthest from its
+    current center among clusters that keep another member, so every
+    cluster ends nonempty. Ties in assignment go to the lowest center index.
     """
     x = np.asarray(points, dtype=float).T  # n x d
     n = x.shape[0]

@@ -222,13 +222,20 @@ def test_criterion_07_convergence_shape():
 def test_criterion_08_linear_scaling():
     """m=10, d=12, V=3: per-outer-iteration wall time grows by a factor in
     [1.5, 3.0] per doubling of n over 2000 -> 4000 -> 8000. The estimator is
-    the minimum per-iteration time (steady-state cost; the first iteration
-    carries the one-off gamma escalation)."""
-    times = {}
-    for n in (2000, 4000, 8000):
-        ds = synth_blobs(n=n, c=3, n_views=3, dims=[12] * 3, noise=0.1, seed=0)
-        _, state = fit(ds, SolverConfig(c=3, m=10))
-        times[n] = min(state.timings["outer_iterations"])
+    the median time of a fit's steady-state iterations (all but the first,
+    which carries the one-off gamma escalation), the lowest of three fits
+    per size run in turn 2000, 4000, 8000, 2000, ... A median does not
+    depend on how many iterations a fit runs (5 at n=2000, 19 at n=4000),
+    as a minimum does, and running the sizes in turn lets each of them meet
+    the same phases of a machine whose speed drifts."""
+    sets = {n: synth_blobs(n=n, c=3, n_views=3, dims=[12] * 3, noise=0.1, seed=0)
+            for n in (2000, 4000, 8000)}
+    times = {n: np.inf for n in sets}
+    for _ in range(3):
+        for n, ds in sets.items():
+            _, state = fit(ds, SolverConfig(c=3, m=10))
+            steady = state.timings["outer_iterations"][1:]
+            times[n] = min(times[n], float(np.median(steady)))
     r1 = times[4000] / times[2000]
     r2 = times[8000] / times[4000]
     assert 1.5 <= r1 <= 3.0, f"2000->4000 factor {r1:.2f} outside [1.5, 3.0]"

@@ -274,6 +274,37 @@ def test_grid_parallel_matches_serial(tmp_path, monkeypatch):
     assert r1 == r2
 
 
+def test_grid_loads_the_dataset_once(tmp_path, monkeypatch):
+    import udbgl.cli as cli
+    from udbgl.dataset import load_views
+    from udbgl.metrics import nmi
+    from udbgl.solver import SolverConfig, fit
+
+    main(["synth", "--n", "80", "--c", "3", "--views", "2", "--out", str(tmp_path / "d")])
+    grid = {"alpha": [1.0, 0.1], "beta": [1.0], "m": [10]}
+    cfg = write_config(tmp_path, manifest="d/manifest.json", c=3, seed=5, grid=grid)
+    calls = []
+
+    def counting_load(path):
+        calls.append(path)
+        return load_views(path)
+
+    monkeypatch.setattr(cli, "load_views", counting_load)
+    monkeypatch.setenv("UDBGL_THREADS", "1")
+    out = tmp_path / "out"
+    assert main(["grid", "--config", cfg, "--subsample", "50", "--out", str(out)]) == EXIT_OK
+    assert len(calls) == 1
+    rows = json.loads((out / "grid_report.json").read_text())["cells"]
+    assert len(rows) == 2
+    # each cell scores as if it had loaded and subsampled the data itself
+    for row in rows:
+        ds = cli._subsample(load_views(tmp_path / "d" / "manifest.json"), 50, 5)
+        labels, state = fit(ds, SolverConfig(c=3, seed=5, alpha=row["alpha"],
+                                             beta=row["beta"], m=row["m"]))
+        assert row["metrics"]["nmi"] == nmi(labels, ds.labels)
+        assert row["objective"] == float(state.objective_trace[-1])
+
+
 def test_grid_without_labels_ranks_by_objective(tmp_path):
     main(["synth", "--n", "40", "--c", "2", "--views", "1", "--out", str(tmp_path / "d")])
     manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())

@@ -101,6 +101,60 @@ def test_sample_labels_follow_smallest_sample_index():
     assert n_sample == 2 and anchor_only == 0
 
 
+def bfs_sample_components(w, eps):
+    # oracle: breadth-first search over samples 0..n-1, then anchors n..n+m-1,
+    # so sample-bearing components are numbered by smallest sample index
+    n, m = w.shape
+    adj = [[] for _ in range(n + m)]
+    for i, j in zip(*np.nonzero(w > eps)):
+        adj[int(i)].append(n + int(j))
+        adj[n + int(j)].append(int(i))
+    comp = [-1] * (n + m)
+    k = 0
+    for start in range(n + m):
+        if comp[start] < 0:
+            comp[start] = k
+            queue = [start]
+            for a in queue:
+                for b in adj[a]:
+                    if comp[b] < 0:
+                        comp[b] = k
+                        queue.append(b)
+            k += 1
+    n_sample = len(set(comp[:n]))
+    return comp[:n], n_sample, k - n_sample
+
+
+def eps_edged_bipartite(rng, n, m):
+    # block supports with some anchor columns cleared (anchor-only
+    # components), plus many entries exactly at EDGE_EPS (no edge) and two
+    # one ulp above it (edges that may bridge blocks)
+    k = int(rng.integers(1, min(n, m) + 1))
+    row_blk, col_blk = rng.integers(0, k, size=n), rng.integers(0, k, size=m)
+    w = np.where(row_blk[:, None] == col_blk[None, :], rng.random((n, m)), 0.0)
+    w[:, rng.random(m) < 0.2] = 0.0
+    zero = np.flatnonzero(w == 0.0)
+    w.flat[zero[rng.random(zero.size) < 0.05]] = EDGE_EPS
+    w.flat[rng.choice(zero, size=min(zero.size, 2), replace=False)] = np.nextafter(EDGE_EPS, 1.0)
+    return w
+
+
+def test_sample_labels_match_bfs_oracle():
+    rng = np.random.default_rng(5)
+    sizes = [(int(rng.integers(1, 40)), int(rng.integers(1, 12))) for _ in range(80)]
+    seen = []
+    for n, m in sizes + [(3000, 30)]:
+        w = eps_edged_bipartite(rng, n, m)
+        labels, n_sample, anchor_only = sample_component_labels(w, EDGE_EPS)
+        want_labels, want_sample, want_anchor_only = bfs_sample_components(w, EDGE_EPS)
+        assert np.array_equal(labels, want_labels)
+        assert (n_sample, anchor_only) == (want_sample, want_anchor_only)
+        assert count_components(w, EDGE_EPS) == want_sample + want_anchor_only
+        seen += [n_sample > 1, anchor_only > 0]
+    assert np.sum(seen[0::2]) >= 20 and np.sum(seen[1::2]) >= 20
+    assert n_sample > 1 and anchor_only > 0  # the (3000, 30) case
+
+
 # ---------------------------------------------------------------------------
 # K-NN initialization
 

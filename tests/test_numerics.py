@@ -139,6 +139,33 @@ def test_kmeans_handles_duplicate_points():
     assert len(np.unique(assign)) == 2  # empty-cluster repair kept both alive
 
 
+def test_kmeans_duplicated_points_fill_every_cluster():
+    # more clusters than distinct points: the empty-cluster repair must not
+    # take a cluster's only member, or a center becomes a mean of nothing
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        d, distinct = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        n = int(rng.integers(distinct, 12))
+        pts = rng.standard_normal((d, distinct))[:, rng.integers(distinct, size=n)]
+        k = int(rng.integers(1, n + 1))
+        centers, assign = kmeans(pts, k, seed=seed)
+        assert np.all(np.isfinite(centers)), seed
+        assert np.array_equal(np.unique(assign), np.arange(k)), seed
+
+
+def test_kmeans_centers_are_exact_cluster_means():
+    # bit for bit, not to a tolerance; with one feature numpy's mean sums
+    # pairwise, so the inputs have two or more
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        d, n, k = int(rng.integers(2, 30)), int(rng.integers(200, 600)), int(rng.integers(2, 20))
+        pts = rng.standard_normal((d, 4))[:, rng.integers(4, size=n)] * 3
+        pts += rng.standard_normal((d, n))
+        centers, assign = kmeans(pts, k, seed=seed)
+        for j in range(k):
+            assert np.array_equal(centers.T[j], pts.T[assign == j].mean(axis=0))
+
+
 def test_kmeans_rejects_bad_k():
     pts = np.zeros((2, 4))
     with pytest.raises(ValueError):
