@@ -93,10 +93,16 @@ def degrees(graph):
 
 def _components(w, eps):
     # scipy component id of every node of the (n+m)-node bipartite graph
-    # whose edges are entries > eps: sample i is node i, anchor j node n + j
+    # whose edges are entries > eps: sample i is node i, anchor j node n + j.
+    # Building the CSR directly is cheaper than converting from COO: sample
+    # rows list their anchors in column order, anchor rows are empty.
     n, m = w.shape
-    rows, cols = np.nonzero(w > eps)
-    adj = csr_matrix((np.ones(rows.size), (rows, cols + n)), shape=(n + m, n + m))
+    edges = w > eps
+    indices = np.flatnonzero(edges) % m + n
+    indptr = np.zeros(n + m + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(edges, axis=1), out=indptr[1 : n + 1])
+    indptr[n + 1 :] = indptr[n]
+    adj = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n + m, n + m))
     return connected_components(adj, directed=False)
 
 

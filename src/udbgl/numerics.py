@@ -102,11 +102,9 @@ def _fill_empty(x, xx, centers, assign, d2, counts):
         d2[:, j] = _sqdist(x, centers[j : j + 1], xx)[:, 0]
 
 
-def _lloyd(x, k, rng, max_iter):
-    xx = (x * x).sum(axis=1)
+def _lloyd(x, xx, k, rng, max_iter):
     centers = _kmeanspp(x, xx, k, rng)
     assign = None
-    trace = []
     for _ in range(max_iter):
         d2 = _sqdist(x, centers, xx)
         new_assign = np.argmin(d2, axis=1)
@@ -120,11 +118,10 @@ def _lloyd(x, k, rng, max_iter):
         # for two or more features (numpy sums a single column pairwise)
         for f in range(x.shape[1]):
             centers[:, f] = np.bincount(assign, weights=x[:, f], minlength=k) / counts
-        trace.append(float(((x - centers[assign]) ** 2).sum()))
-    return centers, assign, trace
+    return centers, assign
 
 
-def kmeans(points, k, seed=0, max_iter=100, n_init=10, sse_trace=None):
+def kmeans(points, k, seed=0, max_iter=100, n_init=10):
     """Seeded k-means on column-sample data.
 
     Parameters
@@ -133,11 +130,10 @@ def kmeans(points, k, seed=0, max_iter=100, n_init=10, sse_trace=None):
     k : number of clusters, 1 <= k <= n.
     seed : int, drives k-means++ initialization; runs are deterministic
         per seed.
-    max_iter : Lloyd iteration cap per restart; iteration also stops at an
-        assignment fixpoint.
-    n_init : independent k-means++ restarts; the lowest-SSE run wins.
-    sse_trace : optional list; when given, the winning run's within-cluster
-        SSE after each Lloyd update is appended (non-increasing).
+    max_iter : Lloyd iteration cap per restart, >= 1; iteration also stops
+        at an assignment fixpoint.
+    n_init : independent k-means++ restarts; the run with the lowest
+        within-cluster SSE at its end wins.
 
     Returns
     -------
@@ -154,16 +150,17 @@ def kmeans(points, k, seed=0, max_iter=100, n_init=10, sse_trace=None):
         raise ValueError(f"k={k} must be in [1, n={n}]")
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    xx = (x * x).sum(axis=1)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(n_init):
-        centers, assign, trace = _lloyd(x, k, rng, max_iter)
-        sse = trace[-1] if trace else float(((x - centers[assign]) ** 2).sum())
+        centers, assign = _lloyd(x, xx, k, rng, max_iter)
+        sse = float(((x - centers[assign]) ** 2).sum())
         if best is None or sse < best[0]:
-            best = (sse, centers, assign, trace)
-    _, centers, assign, trace = best
-    if sse_trace is not None:
-        sse_trace.extend(trace)
+            best = (sse, centers, assign)
+    _, centers, assign = best
     return centers.T.copy(), assign
 
 

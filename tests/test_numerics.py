@@ -7,6 +7,9 @@ from conftest import projection_oracle, simplex_qp_oracle
 from udbgl.numerics import (
     QPConvergenceError,
     SimplexQP,
+    _fill_empty,
+    _kmeanspp,
+    _sqdist,
     kkt_residual,
     kmeans,
     project_rows_onto_simplex,
@@ -114,23 +117,71 @@ def test_kmeans_deterministic_per_seed():
     assert np.array_equal(a1, a2) and np.array_equal(c1, c2)
 
 
-def test_kmeans_sse_trace_non_increasing():
+def test_kmeans_lloyd_sse_non_increasing():
+    # one restart, capped at 1..T Lloyd updates: the same k-means++ start,
+    # so each cap extends the previous run by one update
     rng = np.random.default_rng(6)
     pts = rng.standard_normal((3, 80))
-    trace = []
-    kmeans(pts, 4, seed=0, sse_trace=trace)
-    assert len(trace) >= 1
-    assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+    x = pts.T
+    sse = [_sse(x, *kmeans(pts, 4, seed=0, n_init=1, max_iter=t)) for t in range(1, 16)]
+    assert all(b <= a + 1e-9 for a, b in zip(sse, sse[1:]))
+    assert sse[-1] < sse[0]
 
 
 def test_kmeans_restarts_never_hurt():
     rng = np.random.default_rng(7)
     for seed in range(6):
         pts = rng.standard_normal((2, 30))
-        t1, t10 = [], []
-        kmeans(pts, 3, seed=seed, n_init=1, sse_trace=t1)
-        kmeans(pts, 3, seed=seed, n_init=10, sse_trace=t10)
-        assert t10[-1] <= t1[-1] + 1e-9
+        x = pts.T
+        sse1 = _sse(x, *kmeans(pts, 3, seed=seed, n_init=1))
+        sse10 = _sse(x, *kmeans(pts, 3, seed=seed, n_init=10))
+        assert sse10 <= sse1 + 1e-9
+
+
+def _reference_kmeans(points, k, seed, max_iter, n_init):
+    # the per-step loop that scored every Lloyd update into an SSE trace and
+    # picked the restart whose last trace entry was lowest
+    x = np.asarray(points, dtype=float).T
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(n_init):
+        xx = (x * x).sum(axis=1)
+        centers = _kmeanspp(x, xx, k, rng)
+        assign = None
+        trace = []
+        for _ in range(max_iter):
+            d2 = _sqdist(x, centers, xx)
+            new_assign = np.argmin(d2, axis=1)
+            counts = np.bincount(new_assign, minlength=k)
+            if not counts.all():
+                _fill_empty(x, xx, centers, new_assign, d2, counts)
+            if assign is not None and np.array_equal(new_assign, assign):
+                break
+            assign = new_assign
+            for f in range(x.shape[1]):
+                centers[:, f] = np.bincount(assign, weights=x[:, f], minlength=k) / counts
+            trace.append(float(((x - centers[assign]) ** 2).sum()))
+        if best is None or trace[-1] < best[0]:
+            best = (trace[-1], centers, assign)
+    return best[1].T.copy(), best[2]
+
+
+def test_kmeans_matches_reference_lloyd():
+    # bit for bit, including duplicated points (empty-cluster repair) and k = n
+    for seed in range(50):
+        rng = np.random.default_rng(100 + seed)
+        d, n = int(rng.integers(1, 6)), int(rng.integers(2, 60))
+        pts = rng.standard_normal((d, n)) * 2
+        if seed % 3 == 0:
+            pts = pts[:, rng.integers(max(1, n // 4), size=n)]
+        k = n if seed % 5 == 0 else int(rng.integers(1, n + 1))
+        max_iter = int(rng.choice([1, 2, 3, 100]))
+        n_init = int(rng.integers(1, 11))
+        centers, assign = kmeans(pts, k, seed=seed, max_iter=max_iter, n_init=n_init)
+        want_centers, want_assign = _reference_kmeans(pts, k, seed, max_iter, n_init)
+        assert np.array_equal(assign, want_assign), seed
+        assert np.array_equal(centers, want_centers), seed
+        assert np.array_equal(np.signbit(centers), np.signbit(want_centers)), seed
 
 
 def test_kmeans_handles_duplicate_points():
@@ -174,6 +225,8 @@ def test_kmeans_rejects_bad_k():
         kmeans(pts, 5)
     with pytest.raises(ValueError):
         kmeans(pts, 2, n_init=0)
+    with pytest.raises(ValueError, match="max_iter"):
+        kmeans(pts, 2, max_iter=0)
 
 
 # ---------------------------------------------------------------------------
