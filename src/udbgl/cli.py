@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import MultiViewDataset, load_views, synth_blobs, write_views
-from .graphs import dump_graph_csv, sample_component_labels
+from .graphs import dump_graph_csv
 from .metrics import acc, nmi, purity
 from .numerics import QPConvergenceError
-from .solver import VARIANTS, RankTargetError, SolverConfig, fit
+from .solver import VARIANTS, RankTargetError, SolverConfig, _is_int, _is_real, fit
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -31,7 +31,6 @@ EXIT_SOLVER = 3
 _SOLVER_KEYS = (
     "c", "alpha", "beta", "m", "K", "outer_max_iter", "outer_tol",
     "gamma0", "gamma_min", "gamma_max", "p_inner_max", "seed", "normalize",
-    "delta_warm_start", "gamma_reset",
 )
 _TOP_KEYS = set(_SOLVER_KEYS) | {"manifest", "synth", "out_dir", "dump_consensus", "grid"}
 
@@ -101,15 +100,6 @@ def _metrics_block(pred, truth):
     }
 
 
-def _component_block(p):
-    _, n_sample, n_anchor_only = sample_component_labels(p)
-    return {
-        "total": n_sample + n_anchor_only,
-        "sample_bearing": n_sample,
-        "anchor_only": n_anchor_only,
-    }
-
-
 def _write_run_outputs(out_dir, labels, state, cfg, raw, ds, variant, extra_timings):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -127,7 +117,10 @@ def _write_run_outputs(out_dir, labels, state, cfg, raw, ds, variant, extra_timi
         "iterations": state.iterations,
         "gamma": state.gamma,
         "delta": [float(v) for v in state.delta],
-        "components": _component_block(state.p),
+        # fit returns only a P whose total count update_p certified and whose
+        # sample-bearing count extract_labels matched to c: no recount needed
+        "components": {"total": state.p.components, "sample_bearing": cfg.c,
+                       "anchor_only": state.p.components - cfg.c},
         "timings": timings,
     }
     if raw.get("dump_consensus"):
@@ -179,13 +172,28 @@ def default_grids(c):
     return {"alpha": list(LOG_GRID), "beta": list(LOG_GRID), "m": [c, 50, 100, 200]}
 
 
+# the grid axes a config may override, and the test each swept value must pass
+_GRID_AXES = {"alpha": _is_real, "beta": _is_real, "m": lambda v: _is_int(v) and v > 0}
+
+
+def _grid_block(raw):
+    """The config's grid overrides, each a nonempty list of values."""
+    grid = raw.get("grid", {})
+    if not isinstance(grid, dict) or not set(grid) <= set(_GRID_AXES):
+        raise ConfigError(f"grid must be an object with keys among alpha, beta, m; got {grid!r}")
+    for key, values in grid.items():
+        if not isinstance(values, list) or not values or not all(map(_GRID_AXES[key], values)):
+            raise ConfigError(f"grid {key} must be a nonempty list of finite numbers "
+                              f"(positive integers for m), got {values!r}")
+    return grid
+
+
 def grid_cells(raw, c):
     """Deterministic list of (alpha, beta, m) cells from config or the
     default grids (7 x 7 x 4)."""
-    grids = default_grids(c)
-    grids.update(raw.get("grid", {}) or {})
+    grids = {**default_grids(c), **_grid_block(raw)}
     return [
-        {"alpha": a, "beta": b, "m": int(m)}
+        {"alpha": a, "beta": b, "m": m}
         for a, b, m in itertools.product(grids["alpha"], grids["beta"], grids["m"])
     ]
 
@@ -229,6 +237,7 @@ def cmd_grid(args):
     except ValueError as exc:
         raise ConfigError(f"UDBGL_THREADS must be an integer ({exc})") from exc
     raw = _load_config(args.config)
+    _grid_block(raw)  # a bad grid fails before the data loads
     ds = _dataset_from_config(raw, Path(args.config).parent)
     cfg = _solver_config(raw, ds)  # validates the base config early
     ds = _subsample(ds, args.subsample, raw.get("seed", 0))

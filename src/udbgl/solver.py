@@ -10,6 +10,8 @@ k-means postprocessing is involved.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -43,10 +45,6 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "FitContext",
-    "blend",
-    "update_f",
-    "compute_q",
-    "update_p_rows",
     "update_p",
     "update_z",
     "update_delta",
@@ -59,6 +57,16 @@ VARIANTS = ("full", "knn_fusion_only", "two_phase")
 
 class RankTargetError(RuntimeError):
     """The gamma loop could not reach exactly c connected components."""
+
+
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v, allow_inf=False):
+    # not a bool, not NaN, and finite unless allow_inf
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and (math.isfinite(v) or (allow_inf and not math.isnan(v))))
 
 
 @dataclass
@@ -79,8 +87,6 @@ class SolverConfig:
     p_inner_max: int = 60
     seed: int = 0
     normalize: str = "minmax"
-    delta_warm_start: bool = False  # default starts the delta QP from 1/V, not the last delta
-    gamma_reset: bool = True        # default restarts gamma at gamma0 every outer iteration
 
     def resolved_m(self):
         return self.c if self.m is None else self.m
@@ -89,6 +95,17 @@ class SolverConfig:
         return min(5, self.resolved_m()) if self.K is None else self.K
 
     def validate(self, n=None):
+        for name in ("c", "m", "K", "outer_max_iter", "p_inner_max", "seed"):
+            v = getattr(self, name)
+            if not (_is_int(v) or (v is None and name in ("m", "K"))):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        for name in ("alpha", "beta", "outer_tol", "gamma0", "gamma_min", "gamma_max"):
+            v = getattr(self, name)
+            if not _is_real(v, allow_inf=name == "gamma_max"):
+                what = "a number, not NaN" if name == "gamma_max" else "a finite number"
+                raise ValueError(f"{name} must be {what}, got {v!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("alpha, beta must be positive")
         if self.c < 1:
@@ -118,7 +135,6 @@ class SolverState:
     zs: list
     p: ConsensusBipartiteGraph
     delta: np.ndarray
-    embedding: SpectralEmbedding | None
     gamma: float
     objective_trace: list = field(default_factory=list)
     iterations: int = 0
@@ -184,26 +200,26 @@ def _surrogate(b, p, emb, gamma, c):
     return float((diff * diff).sum() + gamma * (c - emb.singular_values.sum()))
 
 
-def update_p(b, c, cfg, sweep_hook=None, gamma_start=None):
+def update_p(b, c, cfg, sweep_hook=None):
     """Solve the consensus subproblem: nearest row-stochastic P to B whose
     thresholded graph has exactly c connected components.
 
-    Seeds degrees and the embedding from B itself, then alternates the
-    row update, the degree refresh, and the embedding update while adapting
-    gamma: doubled while the graph has too few components, halved when too
-    many, unchanged on exit. A sweep that would raise the fixed-gamma
-    surrogate ||B-P||^2 + gamma tr(F^T L F) is rejected (the degree refresh
-    voids the majorization argument during violent support changes), which
-    keeps the surrogate non-increasing at fixed gamma by construction while
-    gamma keeps adapting; the escalation still terminates because a move
-    that lands on exactly c components has trace term 0 and is accepted
-    once gamma is large enough. Errors out when gamma leaves
+    Seeds degrees and the embedding from B itself, then alternates the row
+    update, the degree refresh, and the embedding update while adapting
+    gamma from gamma0: doubled while the graph has too few components,
+    halved when too many, unchanged on exit. A sweep that would raise the
+    fixed-gamma surrogate ||B-P||^2 + gamma tr(F^T L F) is rejected (the
+    degree refresh voids the majorization argument during violent support
+    changes), which keeps the surrogate non-increasing at fixed gamma by
+    construction while gamma keeps adapting; the escalation still terminates
+    because a move that lands on exactly c components has trace term 0 and
+    is accepted once gamma is large enough. Errors out when gamma leaves
     [gamma_min, gamma_max] or after p_inner_max sweeps.
 
     Returns (ConsensusBipartiteGraph, SpectralEmbedding, gamma).
     """
     b = np.asarray(b, dtype=float)
-    gamma = cfg.gamma0 if gamma_start is None else gamma_start
+    gamma = cfg.gamma0
     degs = degrees(b)
     emb = update_f(b, c, degs)
     p = b
@@ -268,17 +284,15 @@ def update_z(v, x, a, zs, delta, p, alpha, beta):
     return ViewBipartiteGraph(znew)
 
 
-def update_delta(zs, p, delta_prev=None, warm_start=False):
+def update_delta(zs, p, delta_prev=None):
     """Adaptive view weights: minimize ||sum_v delta_v Z_v - P||_F^2 over
     the simplex.
 
     The QP data never materializes the stacked nm x V matrix: H is the
     V x V Gram of the vectorized graphs, f_v = 2 <Z_v, P>_F. H is singular
     when two views carry the same graph. The active-set solve starts from
-    the support of 1/V by default; ``warm_start`` starts from ``delta_prev``
-    instead. Whatever the start, a ``delta_prev`` that scores better than
-    the solve is kept, so the blend penalty never increases across outer
-    iterations.
+    the support of 1/V; a ``delta_prev`` that scores better than the solve
+    is kept, so the blend penalty never increases across outer iterations.
     """
     mats = [_weights(z) for z in zs]
     pw = _weights(p)
@@ -288,11 +302,7 @@ def update_delta(zs, p, delta_prev=None, warm_start=False):
         for j in range(i, nviews):
             h[i, j] = h[j, i] = float((mats[i] * mats[j]).sum())
     f = np.array([2.0 * float((w * pw).sum()) for w in mats])
-    if warm_start and delta_prev is not None:
-        x0 = np.asarray(delta_prev, dtype=float)
-    else:
-        x0 = np.full(nviews, 1.0 / nviews)
-    delta = solve_simplex_qp(SimplexQP(h, f), x0)
+    delta = solve_simplex_qp(SimplexQP(h, f), np.full(nviews, 1.0 / nviews))
     if delta_prev is not None:
         prev = np.asarray(delta_prev, dtype=float)
         if prev @ h @ prev - prev @ f < delta @ h @ delta - delta @ f:
@@ -360,7 +370,6 @@ def fit(ds, cfg, variant="full", callback=None, p_sweep_hook=None):
         zs=zs,
         p=ConsensusBipartiteGraph(blend(zs, delta).copy()),
         delta=delta,
-        embedding=None,
         gamma=cfg.gamma0,
         timings=timings,
     )
@@ -370,15 +379,10 @@ def fit(ds, cfg, variant="full", callback=None, p_sweep_hook=None):
         callback("init", state, ctx)
 
     per_iter = []
-    gamma_start = None
     for it in range(1, cfg.outer_max_iter + 1):
         t_it = time.perf_counter()
         b = blend(state.zs, state.delta)
-        p_graph, emb, gamma = update_p(b, cfg.c, cfg, sweep_hook=p_sweep_hook,
-                                       gamma_start=gamma_start)
-        if not cfg.gamma_reset:
-            gamma_start = gamma
-        state.p, state.embedding, state.gamma = p_graph, emb, gamma
+        state.p, _, state.gamma = update_p(b, cfg.c, cfg, sweep_hook=p_sweep_hook)
         if callback is not None:
             callback("update_p", state, ctx)
 
@@ -389,8 +393,7 @@ def fit(ds, cfg, variant="full", callback=None, p_sweep_hook=None):
                 if callback is not None:
                     callback(f"update_z:{v}", state, ctx)
 
-        state.delta = update_delta(state.zs, state.p, delta_prev=state.delta,
-                                   warm_start=cfg.delta_warm_start)
+        state.delta = update_delta(state.zs, state.p, delta_prev=state.delta)
         if callback is not None:
             callback("update_delta", state, ctx)
 

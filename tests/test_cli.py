@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import eigen_component_count
 
 import udbgl
 from udbgl.cli import (
@@ -95,6 +96,13 @@ def test_run_dumps_consensus_when_asked(tmp_path):
     assert w.shape == (60, 3)
     assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-8
     assert w.min() >= 0.0
+    # the carried component counts agree with a dense-eigen recount of the
+    # dumped graph and with the labels
+    comps = report["components"]
+    assert comps["total"] == eigen_component_count(w, 1e-8)
+    labels = np.loadtxt(out / "labels.csv", dtype=int)
+    assert comps["sample_bearing"] == np.unique(labels).size == 3
+    assert comps["anchor_only"] == comps["total"] - comps["sample_bearing"]
 
 
 def test_run_out_dir_from_config(tmp_path):
@@ -117,6 +125,12 @@ def test_run_out_dir_from_config(tmp_path):
     {"synth": {"n": 30, "c": 3, "views": 1}, "m": 200},   # m > n
     {"synth": "not-a-dict"},
     {"manifest": "missing/manifest.json"},
+    # solver keys of the wrong type or out of range
+    *({"synth": {"n": 30, "c": 2, "views": 1}, key: value} for key, value in (
+        ("c", 2.5), ("c", True), ("m", 3.5), ("m", 2.0), ("K", 1.5),
+        ("outer_max_iter", 2.5), ("p_inner_max", 1.0), ("seed", "a"), ("seed", -1),
+        ("outer_tol", "x"), ("alpha", float("nan")), ("beta", float("inf")),
+    )),
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, raw):
     cfg = write_config(tmp_path, **raw)
@@ -256,10 +270,32 @@ def test_grid_non_integer_threads_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_removed_qp_keys_exit_2(tmp_path, capsys):
-    for key, value in (("qp_tol", 1e-8), ("qp_max_iter", 1000)):
+    for key, value in (("qp_tol", 1e-8), ("qp_max_iter", 1000),
+                       ("gamma_reset", False), ("delta_warm_start", True)):
         cfg = write_config(tmp_path, **SYNTH, **{key: value})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [
+    [1, 2],
+    {"alpha": 5},
+    {"m": ["x"]},
+    {"gamma": [1.0]},
+    {"alpha": []},
+])
+def test_grid_bad_block_exits_2_before_loading(tmp_path, capsys, monkeypatch, grid):
+    import udbgl.cli as cli
+
+    def no_load(*args):
+        raise AssertionError("the dataset loaded before the grid block was checked")
+
+    monkeypatch.setattr(cli, "_dataset_from_config", no_load)
+    cfg = write_config(tmp_path, grid=grid, **SYNTH)
+    out = tmp_path / "out"
+    assert main(["grid", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "error: grid" in capsys.readouterr().err
+    assert not (out / "grid_report.json").exists()
 
 
 def test_grid_parallel_matches_serial(tmp_path, monkeypatch):

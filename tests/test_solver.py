@@ -74,10 +74,19 @@ def test_config_resolves_defaults():
     ({"c": 2, "gamma_min": 1.0, "gamma_max": 0.5}, "gamma"),
     ({"c": 2, "outer_max_iter": 0}, "caps"),
     ({"c": 2, "normalize": "robust"}, "normalization"),
+    ({"c": 2.0}, "c must be an integer"),
+    ({"c": 2, "K": True}, "K must be an integer"),
+    ({"c": 2, "seed": -1}, "seed must be nonnegative"),
+    ({"c": 2, "gamma0": float("inf")}, "gamma0 must be a finite number"),
+    ({"c": 2, "gamma_max": float("nan")}, "gamma_max must be a number, not NaN"),
 ])
 def test_config_validation_errors(kwargs, msg):
     with pytest.raises(ValueError, match=msg):
         SolverConfig(**kwargs).validate()
+
+
+def test_config_accepts_numpy_scalars_and_infinite_gamma_max():
+    SolverConfig(c=np.int64(2), alpha=np.float64(0.5), gamma_max=float("inf")).validate()
 
 
 def test_config_checks_m_against_n():
@@ -275,15 +284,6 @@ def test_update_p_sweep_budget_error():
         update_p(b, 3, _cfg(p_inner_max=1))
 
 
-def test_update_p_gamma_start_override():
-    b = np.full((6, 3), 1.0 / 3.0)
-    # starting at gamma_min and capping max below gamma0 exercises the
-    # explicit start; escalation still leaves the window and errors
-    cfg = _cfg(gamma0=0.1, gamma_min=1e-4, gamma_max=1e-3)
-    with pytest.raises(RankTargetError):
-        update_p(b, 3, cfg, gamma_start=1e-4)
-
-
 # ---------------------------------------------------------------------------
 # Z update
 
@@ -400,8 +400,7 @@ def test_update_delta_identical_views_singular_gram():
         for mats in ([z, z], [z, z, other]):
             zs = [ViewBipartiteGraph(m.copy()) for m in mats]
             for prev in (None, np.full(len(mats), 1.0 / len(mats))):
-                out = update_delta(zs, ConsensusBipartiteGraph(p), delta_prev=prev,
-                                   warm_start=prev is not None)
+                out = update_delta(zs, ConsensusBipartiteGraph(p), delta_prev=prev)
                 assert np.all(np.isfinite(out)) and out.min() >= 0.0
                 assert abs(out.sum() - 1.0) <= 1e-12
 
@@ -415,10 +414,8 @@ def test_update_delta_never_worse_than_previous():
         p = random_row_stochastic(rng, 5, 3)
         zs = [ViewBipartiteGraph(m) for m in mats]
         prev = projection_oracle(rng.standard_normal(3))
-        for warm in (False, True):
-            out = update_delta(zs, ConsensusBipartiteGraph(p), delta_prev=prev,
-                               warm_start=warm)
-            assert fusion(out, mats, p) <= fusion(prev, mats, p) + 1e-12
+        out = update_delta(zs, ConsensusBipartiteGraph(p), delta_prev=prev)
+        assert fusion(out, mats, p) <= fusion(prev, mats, p) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +423,7 @@ def test_update_delta_never_worse_than_previous():
 
 def _state_for(zs, p, delta):
     from udbgl.solver import SolverState
-    return SolverState(zs=zs, p=p, delta=delta, embedding=None, gamma=0.1)
+    return SolverState(zs=zs, p=p, delta=delta, gamma=0.1)
 
 
 def test_objective_zero_residual_leaves_alpha_term():
@@ -544,13 +541,6 @@ def test_fit_knn_fusion_only_keeps_seed_graphs():
     fit(ds, SolverConfig(c=2, m=6, K=3), variant="knn_fusion_only",
         callback=lambda stage, state, ctx: seen.append(stage))
     assert not any(s.startswith("update_z") for s in seen)
-
-
-def test_fit_flag_variants_run():
-    ds = synth_blobs(60, 3, 2, noise=0.1, seed=6)
-    for kw in ({"gamma_reset": False}, {"delta_warm_start": True}):
-        labels, _ = fit(ds, SolverConfig(c=3, **kw))
-        assert nmi(labels, ds.labels) >= 0.9
 
 
 def test_fit_rejects_unknown_variant_and_bad_config():
