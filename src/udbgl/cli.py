@@ -59,6 +59,8 @@ def _dataset_from_config(raw, base):
     if has_manifest == has_synth:
         raise ConfigError("config needs exactly one of 'manifest' or 'synth'")
     if has_manifest:
+        if not isinstance(raw["manifest"], str):
+            raise ConfigError(f"manifest must be a path string, got {raw['manifest']!r}")
         try:
             return load_views(Path(base) / raw["manifest"])
         except (OSError, ValueError) as exc:

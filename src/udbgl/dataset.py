@@ -4,6 +4,7 @@ and a synthetic blob generator used by tests and the CLI."""
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -145,6 +146,10 @@ def normalize(ds, scheme="minmax"):
     return MultiViewDataset(out, None if ds.labels is None else ds.labels.copy())
 
 
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _separated_centers(c, dim, sep, rng):
     # rejection-sample c centers with pairwise distance >= sep; widen the
     # box if a draw keeps colliding so the loop always terminates
@@ -172,12 +177,17 @@ def synth_blobs(n, c, n_views, dims=None, noise=0.1, seed=0):
     (sample i -> cluster i mod c), and isotropic Gaussian noise of the given
     scale is added.  Deterministic for a fixed seed.
     """
+    for name, v in (("n", n), ("c", c), ("n_views", n_views)):
+        if not _is_int(v):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
     if c < 1 or n < c:
         raise ValueError("need n >= c >= 1")
     if dims is None:
         dims = [4] * n_views
     if len(dims) != n_views:
         raise ValueError("dims must list one dimensionality per view")
+    if not all(_is_int(d) and d > 0 for d in dims):
+        raise ValueError(f"dims must be positive integers, got {list(dims)!r}")
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % c
     sep = 1.0 + 10.0 * noise

@@ -1,6 +1,6 @@
 """Numerical kernels shared across the package: Euclidean simplex
 projection, seeded k-means, a Gram-route truncated SVD, and an exact
-batched active-set solver for simplex-constrained quadratic programs."""
+batched block-pivoting solver for simplex-constrained quadratic programs."""
 
 from __future__ import annotations
 
@@ -279,39 +279,55 @@ def _kkt_rows(H, F, X, active_tol=1e-9):
     return np.maximum(r, np.maximum(-X, 0.0).max(axis=1))
 
 
-def _support_kkt_points(H, F, idx):
-    # equality-constrained minimizers restricted to each row's support
-    # idx[i] (all of one size s): [2 H_SS, -1; 1^T, 0] [x_S; lam] = [f_S; 1],
-    # i.e. 2 H x - f = lam on S, as one stack of (s+1) x (s+1) systems
-    r, s = idx.shape
-    K = np.zeros((r, s + 1, s + 1))
-    K[:, :s, :s] = 2.0 * H[idx[:, :, None], idx[:, None, :]]
-    K[:, :s, s] = -1.0
-    K[:, s, :s] = 1.0
-    rhs = np.ones((r, s + 1, 1))
-    rhs[:, :s, 0] = np.take_along_axis(F, idx, axis=1)
-    try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError:
-        # singular H_SS (e.g. duplicated views in the delta Gram matrix)
-        sol = np.linalg.pinv(K) @ rhs
-    return sol[:, :s, 0], sol[:, s, 0]
+def _support_kkt_points(H2, F, sup):
+    # equality-constrained minimizers restricted to each row's support sup[i]:
+    # [H2_SS, -1; 1^T, 0] [x_S; lam] = [f_S; 1] with H2 = 2 H, i.e.
+    # 2 H x - f = lam on S, solved as one stack of (s+1) x (s+1) systems per
+    # support size s and scattered into one dense block, zero off the support
+    r, m = sup.shape
+    x = np.zeros((r, m))
+    lam = np.empty(r)
+    size = sup.sum(axis=1)
+    for s in np.unique(size):
+        g = np.flatnonzero(size == s)
+        idx = np.nonzero(sup[g])[1].reshape(g.size, s)
+        K = np.zeros((g.size, s + 1, s + 1))
+        K[:, :s, :s] = H2[idx[:, :, None], idx[:, None, :]]
+        K[:, :s, s] = -1.0
+        K[:, s, :s] = 1.0
+        rhs = np.ones((g.size, s + 1, 1))
+        rhs[:, :s, 0] = np.take_along_axis(F[g], idx, axis=1)
+        try:
+            sol = np.linalg.solve(K, rhs)
+        except np.linalg.LinAlgError:
+            # singular H_SS (e.g. duplicated views in the delta Gram matrix)
+            sol = np.linalg.pinv(K) @ rhs
+        x[g[:, None], idx] = sol[:, :s, 0]
+        lam[g] = sol[:, s, 0]
+    return x, lam
 
 
 def _active_set(H, F, X, sweep_hook):
-    """Primal active-set solve of every row of X at once.
+    """Block principal pivoting solve of every row of X at once (Judice &
+    Pires 1994; Kim & Park 2011).
 
-    Starts from the support of X. Each round groups the unfinished rows by
-    support size, solves their KKT systems as one stack per size, then per
-    row drops the most negative coordinate or adds the most violated dual
-    one; a row with neither is finished. Returns the solutions and a mask
-    of failed rows (support emptied, cycled, or out of rounds), which keep
-    their start.
+    Starts from the support of X. Each round solves the KKT systems of all
+    unfinished rows on their supports, then per row drops every negative
+    support coordinate and adds every off-support coordinate whose dual is
+    violated; a row with neither is finished. A row whose count of such
+    infeasible coordinates has not fallen for 3 rounds pivots one coordinate
+    instead, the most negative one or else the most violated dual, until
+    the count falls again. Returns the solutions and a mask of failed rows
+    (support emptied, cycled while pivoting single coordinates, or out of
+    rounds), which keep their start.
     """
     r, m = X.shape
+    H2 = 2.0 * H
     out = X.copy()
     sup = X > 1e-9  # nonempty: the rows of X lie on the simplex
     saved = np.zeros_like(sup)
+    best = np.full(r, m + 1)  # fewest infeasible coordinates seen
+    stall = np.zeros(r, dtype=int)  # rounds since that count last fell
     todo = np.ones(r, dtype=bool)
     failed = np.zeros(r, dtype=bool)
     for rnd in range(3 * m + 30):
@@ -320,35 +336,55 @@ def _active_set(H, F, X, sweep_hook):
             break
         if sweep_hook is not None:
             sweep_hook("active_set", p.size)
-        size = sup[p].sum(axis=1)
-        for s in np.unique(size):
-            g = p[size == s]
-            idx = np.nonzero(sup[g])[1].reshape(g.size, s)
-            xs, lam = _support_kkt_points(H, F[g], idx)
-            neg = np.argmin(xs, axis=1)
-            drop = xs.min(axis=1) < -1e-12
-            sup[g[drop], idx[drop, neg[drop]]] = False
-            g, idx, xs, lam = g[~drop], idx[~drop], xs[~drop], lam[~drop]
-            full = np.zeros((g.size, m))
-            np.put_along_axis(full, idx, np.maximum(xs, 0.0), axis=1)
-            grad = 2.0 * (full @ H) - F[g]
-            nu = np.where(sup[g], np.inf, grad - lam[:, None])
-            j = np.argmin(nu, axis=1)
-            add = nu.min(axis=1) < -1e-10 * np.maximum(1.0, np.abs(grad).max(axis=1))
-            sup[g[add], j[add]] = True
-            done = g[~add]
-            out[done] = full[~add]
-            todo[done] = False
+        Fp = F[p]
+        x, lam = _support_kkt_points(H2, Fp, sup[p])
+        xpos = np.maximum(x, 0.0)
+        neg = x < -1e-12
+        grad = np.where(neg, x, xpos) @ H2 - Fp
+        nu = np.where(sup[p], np.inf, grad - lam[:, None])
+        flip = neg | (nu < -1e-10 * np.maximum(1.0, np.abs(grad).max(axis=1))[:, None])
+        ninf = flip.sum(axis=1)
+        done = ninf == 0
+        out[p[done]] = xpos[done]
+        todo[p[done]] = False
+        p, x, neg, nu, flip, ninf = (a[~done] for a in (p, x, neg, nu, flip, ninf))
+        stall[p] = np.where(ninf < best[p], 0, stall[p] + 1)
+        best[p] = np.minimum(best[p], ninf)
+        single = np.flatnonzero(stall[p] >= 3)
+        col = np.where(neg[single].any(axis=1), np.argmin(x[single], axis=1),
+                       np.argmin(nu[single], axis=1))
+        flip[single] = False
+        flip[single, col] = True
+        sup[p] ^= flip  # negatives lie on the support, violated duals off it
         # an emptied support fails the row, and so does a support seen
-        # before (the pivoting cycles): compare with the support saved at
-        # the end of rounds 1, 2, 4, 8, ... (Brent's cycle detection)
-        p = p[todo[p]]
-        stop = p[~sup[p].any(axis=1) | np.all(sup[p] == saved[p], axis=1)]
+        # before while pivoting single coordinates (block rounds that do not
+        # cut the count end after 3): compare with the support saved at the
+        # end of rounds 1, 2, 4, 8, ... (Brent's cycle detection) and at the
+        # row's first single pivot
+        stop = p[~sup[p].any(axis=1) | ((stall[p] > 3) & np.all(sup[p] == saved[p], axis=1))]
         failed[stop] = todo[stop] = False
-        if rnd & (rnd + 1) == 0:
-            saved[p] = sup[p]
+        p = p[todo[p]]
+        if rnd & (rnd + 1) != 0:
+            p = p[stall[p] == 3]
+        saved[p] = sup[p]
     failed |= todo
     return out, failed
+
+
+def _hyperplane_start(H, F, warm, warm_obj, w):
+    # per row, the simplex projection of the minimizer on the hyperplane
+    # sum x = 1, 0.5 H^-1 (f + lam 1), where it scores below the warm start;
+    # one inverse of H serves every row. A singular H keeps the warm start.
+    if not w[0] > 1e-10 * w[-1]:
+        return warm
+    hinv = np.linalg.inv(H)
+    u = hinv.sum(axis=0)  # H^-1 1
+    y = F @ hinv  # rows H^-1 f
+    eq = 0.5 * (y + ((2.0 - y.sum(axis=1)) / u.sum())[:, None] * u)
+    if not np.all(np.isfinite(eq)):
+        return warm
+    start = project_rows_onto_simplex(eq)
+    return np.where((_row_obj(H, F, start) < warm_obj)[:, None], start, warm)
 
 
 def _restarted_gradient(H, F, X, lam_max, sweep_hook):
@@ -375,17 +411,23 @@ def _restarted_gradient(H, F, X, lam_max, sweep_hook):
 def solve_simplex_qp_rows(H, F, x0, kkt_tol=1e-6, sweep_hook=None):
     """Solve min_x x H x^T - x f^T over the simplex for every row at once.
 
-    All rows share the same H; F stacks one f per row. The solve is an
-    exact primal active-set method started from the support of the warm
-    start ``x0`` (projected onto the simplex), with the KKT systems of all
-    unfinished rows of one support size solved as one batch per round.
-    Rows that empty their support, cycle, run out of rounds or end over
-    kkt_tol (singular H_SS) are restarted from an accelerated projected
-    gradient run from their warm start, then given a second active-set
-    pass. A warm start that scores better than the solution and is itself
-    KKT-certified is kept, which makes warm-started solves monotone.
+    All rows share the same H; F stacks one f per row. Each row starts from
+    whichever scores lower: its warm start ``x0`` projected onto the
+    simplex, or the projection of its minimizer on the hyperplane sum x = 1,
+    0.5 H^-1 (f + lam 1); one inverse of H serves every row, and a singular
+    H keeps the warm start. Block principal pivoting then solves all rows
+    exactly: each round solves every unfinished row's KKT system on its
+    support (one batch per support size), and drops every negative
+    coordinate and adds every violated dual of every row at once; a row
+    whose count of such coordinates has not fallen for 3 rounds pivots one
+    at a time until it falls. Rows that empty their support, cycle, run out
+    of rounds or end over kkt_tol (singular H_SS) are restarted from an
+    accelerated projected gradient run from their warm start, then given a
+    second pivoting pass. A warm start that scores better than the solution
+    and is itself KKT-certified is kept, which makes warm-started solves
+    monotone.
 
-    ``sweep_hook(kind, n_rows)``, when given, is called once per active-set
+    ``sweep_hook(kind, n_rows)``, when given, is called once per pivoting
     round (kind "active_set") and once per gradient sweep (kind
     "gradient") with the number of rows still being worked on.
 
@@ -395,7 +437,8 @@ def solve_simplex_qp_rows(H, F, x0, kkt_tol=1e-6, sweep_hook=None):
     F = np.asarray(F, dtype=float)
     w = _check_psd(H)
     warm = project_rows_onto_simplex(x0)
-    x, failed = _active_set(H, F, warm, sweep_hook)
+    warm_obj = _row_obj(H, F, warm)
+    x, failed = _active_set(H, F, _hyperplane_start(H, F, warm, warm_obj, w), sweep_hook)
     failed |= ~(_kkt_rows(H, F, x) <= kkt_tol)  # NaN fails too
     if failed.any():
         Ff = F[failed]
@@ -403,7 +446,7 @@ def solve_simplex_qp_rows(H, F, x0, kkt_tol=1e-6, sweep_hook=None):
         x2, _ = _active_set(H, Ff, pg, sweep_hook)
         better = _kkt_rows(H, Ff, x2) <= _kkt_rows(H, Ff, pg)
         x[failed] = np.where(better[:, None], x2, pg)
-    keep = (_row_obj(H, F, warm) < _row_obj(H, F, x)) & (_kkt_rows(H, F, warm) <= kkt_tol)
+    keep = (warm_obj < _row_obj(H, F, x)) & (_kkt_rows(H, F, warm) <= kkt_tol)
     x[keep] = warm[keep]
     residuals = _kkt_rows(H, F, x)
     over = np.flatnonzero(~(residuals <= kkt_tol))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anchors import build_anchors
-from .dataset import normalize
+from .dataset import _is_int, normalize
 from .graphs import (
     EDGE_EPS,
     ConsensusBipartiteGraph,
@@ -57,10 +57,6 @@ VARIANTS = ("full", "knn_fusion_only", "two_phase")
 
 class RankTargetError(RuntimeError):
     """The gamma loop could not reach exactly c connected components."""
-
-
-def _is_int(v):
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _is_real(v, allow_inf=False):
@@ -265,8 +261,8 @@ def update_z(v, x, a, zs, delta, p, alpha, beta):
     Every row shares the Hessian H = A^T A + (alpha + beta delta_v^2) I;
     row j's linear term couples its feature column, the other views'
     blended rows, and the consensus row. All rows are solved exactly by
-    one batched active-set solve started from the current graph's
-    supports, so a row never scores worse than its current value.
+    one batched solve warm-started from the current graph, so a row never
+    scores worse than its current value.
     """
     pw = _weights(p)
     mats = [_weights(z) for z in zs]
@@ -290,9 +286,9 @@ def update_delta(zs, p, delta_prev=None):
 
     The QP data never materializes the stacked nm x V matrix: H is the
     V x V Gram of the vectorized graphs, f_v = 2 <Z_v, P>_F. H is singular
-    when two views carry the same graph. The active-set solve starts from
-    the support of 1/V; a ``delta_prev`` that scores better than the solve
-    is kept, so the blend penalty never increases across outer iterations.
+    when two views carry the same graph. The solve is warm-started at
+    1/V; a ``delta_prev`` that scores better than the solve is kept, so
+    the blend penalty never increases across outer iterations.
     """
     mats = [_weights(z) for z in zs]
     pw = _weights(p)

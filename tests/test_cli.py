@@ -125,6 +125,9 @@ def test_run_out_dir_from_config(tmp_path):
     {"synth": {"n": 30, "c": 3, "views": 1}, "m": 200},   # m > n
     {"synth": "not-a-dict"},
     {"manifest": "missing/manifest.json"},
+    {"manifest": 5},
+    {"synth": {"n": 30.5, "c": 3, "views": 1}},
+    {"synth": {"n": 30, "c": 3, "views": 1, "dims": [0]}},
     # solver keys of the wrong type or out of range
     *({"synth": {"n": 30, "c": 2, "views": 1}, key: value} for key, value in (
         ("c", 2.5), ("c", True), ("m", 3.5), ("m", 2.0), ("K", 1.5),
@@ -151,6 +154,13 @@ def test_synth_bad_dims_exits_2(tmp_path, capsys):
                  "--dims", "4,oops", "--out", str(tmp_path / "d")])
     assert code == EXIT_CONFIG
     assert "bad --dims" in capsys.readouterr().err
+
+
+def test_synth_nonpositive_dims_exits_2(tmp_path, capsys):
+    code = main(["synth", "--n", "30", "--c", "3", "--views", "1",
+                 "--dims", "0", "--out", str(tmp_path / "d")])
+    assert code == EXIT_CONFIG
+    assert "dims must be positive integers" in capsys.readouterr().err
 
 
 def test_synth_invalid_shape_exits_2(tmp_path):

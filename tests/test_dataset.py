@@ -186,3 +186,8 @@ def test_synth_blobs_rejects_bad_arguments():
         synth_blobs(5, 0, 1)
     with pytest.raises(ValueError):
         synth_blobs(5, 2, 2, dims=[4])
+    for dims in ([0], [-2], [2.5], [True]):
+        with pytest.raises(ValueError, match="dims must be positive integers"):
+            synth_blobs(5, 2, 1, dims=dims)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        synth_blobs(30.5, 3, 1)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import projection_oracle, simplex_qp_oracle
 
 from udbgl.numerics import (
@@ -438,6 +440,72 @@ def test_batched_rows_span_support_sizes_and_match_oracle():
                 sizes = set(np.count_nonzero(best > 1e-12, axis=1).tolist())
                 assert len(sizes) >= 3, sizes
             assert np.abs(out - best).max() <= 1e-8
+
+
+def test_interior_optima_take_one_round_from_vertex_starts():
+    # f = 2 H x* - c 1 puts every row's optimum x* inside the simplex, where
+    # it is the hyperplane minimizer: the shared-H start lands on it, so one
+    # KKT round certifies every row whatever its warm start
+    rng = np.random.default_rng(17)
+    m = 6
+    a = rng.standard_normal((3, m))
+    h = a.T @ a + 0.1 * np.eye(m)
+    opt = project_rows_onto_simplex(rng.random((20, m)) + 0.1)
+    F = 2.0 * opt @ h - rng.standard_normal((20, 1))
+    rounds = []
+    out = solve_simplex_qp_rows(h, F, np.eye(m)[rng.integers(m, size=20)],
+                                sweep_hook=lambda kind, n: rounds.append(kind))
+    assert rounds == ["active_set"]
+    assert np.abs(out - opt).max() <= 1e-10
+
+
+@pytest.mark.parametrize("seed", [63, 64, 71, 76, 84])
+def test_stalled_block_pivots_finish_by_single_pivots(seed):
+    # a low-rank A with a small ridge: exchanging every infeasible
+    # coordinate at once revisits supports on these rows, so they must be
+    # finished by single pivots, not by the gradient fallback
+    rng = np.random.default_rng(seed)
+    m, d = int(rng.integers(4, 8)), int(rng.integers(1, 4))
+    a = rng.standard_normal((d, m)) * 10.0 ** rng.uniform(0, 1.5)
+    h = a.T @ a + 10.0 ** rng.uniform(-4, 0) * np.eye(m)
+    f = 2.0 * (rng.standard_normal(d) @ a) + rng.standard_normal(m)
+    x0 = np.eye(m)[int(rng.integers(m))]
+    kinds = []
+    x = solve_simplex_qp_rows(h, f[None, :], x0[None, :],
+                              sweep_hook=lambda kind, n: kinds.append(kind))[0]
+    assert set(kinds) == {"active_set"}
+    xs = simplex_qp_oracle(h, f)
+    assert (x @ h @ x - f @ x) - (xs @ h @ xs - f @ xs) <= 1e-8
+    assert kkt_residual(SimplexQP(h, f), x) <= 1e-6
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 7), rows=st.integers(1, 6),
+       hessian=st.sampled_from(["definite", "singular"]),
+       log_rho=st.floats(-3.0, 1.0),
+       start=st.sampled_from(["vertex", "uniform", "random"]))
+def test_solve_rows_match_oracle_objective(seed, m, rows, hessian, log_rho, start):
+    # H = A^T A + rho I, or a rank-deficient Gram B^T B (H = 0 for m = 1);
+    # every row must reach the enumeration optimum from any warm start
+    rng = np.random.default_rng(seed)
+    if hessian == "definite":
+        a = rng.standard_normal((int(rng.integers(1, m + 3)), m))
+        h = a.T @ a + 10.0 ** log_rho * np.eye(m)
+    else:
+        b = rng.standard_normal((int(rng.integers(0, m)), m))
+        h = b.T @ b
+    F = rng.standard_normal((rows, m)) * rng.choice([0.1, 1.0, 10.0], size=(rows, 1))
+    if start == "vertex":
+        X0 = np.eye(m)[rng.integers(m, size=rows)]
+    elif start == "uniform":
+        X0 = np.full((rows, m), 1.0 / m)
+    else:
+        X0 = project_rows_onto_simplex(rng.standard_normal((rows, m)))
+    out = solve_simplex_qp_rows(h, F, X0)
+    for f, x in zip(F, out):
+        xs = simplex_qp_oracle(h, f)
+        assert (x @ h @ x - f @ x) - (xs @ h @ xs - f @ xs) <= 1e-8
+        assert kkt_residual(SimplexQP(h, f), x) <= 1e-6
 
 
 def test_kkt_residual_flags_non_optimal_points():

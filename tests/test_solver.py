@@ -347,6 +347,24 @@ def test_update_z_never_increases_objective():
             before = after
 
 
+def test_update_z_from_knn_seed_takes_few_active_set_rounds(monkeypatch):
+    # m=100 anchors and a 5-coordinate K-NN seed per row: optimal supports
+    # are far larger, so adding one coordinate per round would take dozens
+    rounds = []
+    solve = solver_mod.solve_simplex_qp_rows
+
+    def counted(h, f, x0):
+        return solve(h, f, x0, sweep_hook=lambda kind, n: rounds.append(kind))
+
+    monkeypatch.setattr(solver_mod, "solve_simplex_qp_rows", counted)
+    ds = normalize(synth_blobs(n=500, c=5, n_views=1, dims=[20], noise=0.3))
+    anchors = build_anchors(ds, 100, seed=0)
+    zs = [knn_bipartite_init(ds.views[0], anchors.per_view[0], 5)]
+    update_z(0, ds.views[0], anchors.per_view[0], zs, np.array([1.0]), zs[0], 1.0, 1.0)
+    assert rounds and set(rounds) == {"active_set"}
+    assert len(rounds) <= 15, len(rounds)
+
+
 def test_update_z_propagates_view_in_qp_errors(monkeypatch):
     def boom(*args, **kwargs):
         raise QPConvergenceError("row 3: stalled")
