@@ -4,18 +4,13 @@ batched block-pivoting solver for simplex-constrained quadratic programs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "project_simplex",
     "project_rows_onto_simplex",
     "kmeans",
     "truncated_svd",
-    "SimplexQP",
     "QPConvergenceError",
-    "solve_simplex_qp",
     "solve_simplex_qp_rows",
     "kkt_residual",
 ]
@@ -44,14 +39,6 @@ def project_rows_onto_simplex(mat):
     rho = np.count_nonzero(u + (1.0 - css) / k > 0.0, axis=1)
     theta = (css[np.arange(n), rho - 1] - 1.0) / rho
     return np.maximum(mat - theta[:, None], 0.0)
-
-
-def project_simplex(v):
-    """Euclidean projection of a vector onto {x : x >= 0, sum x = 1}."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("expected a 1-d vector")
-    return project_rows_onto_simplex(v[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -229,49 +216,24 @@ def truncated_svd(mat, c):
 # ---------------------------------------------------------------------------
 # simplex-constrained QP: min_x x^T H x - x^T f  s.t. x >= 0, sum x = 1
 
-@dataclass
-class SimplexQP:
-    """Quadratic program min x^T H x - x^T f over the probability simplex.
-
-    H must be symmetric positive semi-definite. Note the sign convention:
-    a problem stated as min z H z^T + z fbar maps to f = -fbar here.
-    """
-
-    H: np.ndarray
-    f: np.ndarray
-
-    def __post_init__(self):
-        self.H = np.asarray(self.H, dtype=float)
-        self.f = np.asarray(self.f, dtype=float)
-        if self.H.ndim != 2 or self.H.shape[0] != self.H.shape[1]:
-            raise ValueError("H must be square")
-        if self.f.shape != (self.H.shape[0],):
-            raise ValueError("f length must match H")
-        if not (np.all(np.isfinite(self.H)) and np.all(np.isfinite(self.f))):
-            raise ValueError("non-finite QP data")
-        if np.abs(self.H - self.H.T).max() > 1e-10:
-            raise ValueError("H must be symmetric")
+KKT_TOL = 1e-6  # a row is certified at a KKT residual of at most this
+ACTIVE_TOL = 1e-9  # coordinates above this form a row's support
 
 
 class QPConvergenceError(RuntimeError):
     pass
 
 
-def _check_psd(H):
-    w = np.linalg.eigvalsh(H)
-    if w[0] < -1e-8:
-        raise ValueError(f"H is not positive semi-definite (lambda_min={w[0]:.3e})")
-    return w
-
-
 def _row_obj(H, F, X):
     return np.einsum("ij,ij->i", X @ H, X) - np.einsum("ij,ij->i", X, F)
 
 
-def _kkt_rows(H, F, X, active_tol=1e-9):
-    # max KKT violation per row; see kkt_residual for the definition
+def kkt_residual(H, F, X):
+    """Max KKT violation of each row of X for its simplex QP (H, F[i]): with
+    g = 2 H x - f and lambda its mean over the support, stationarity on the
+    support, dual feasibility off it, and primal feasibility."""
     g = 2.0 * (X @ H) - F
-    sup = X > active_tol
+    sup = X > ACTIVE_TOL
     lam = (g * sup).sum(axis=1) / np.maximum(sup.sum(axis=1), 1)
     r = np.where(sup, np.abs(g - lam[:, None]), 0.0).max(axis=1)
     r = np.maximum(r, np.where(sup, 0.0, np.maximum(lam[:, None] - g, 0.0)).max(axis=1))
@@ -324,7 +286,7 @@ def _active_set(H, F, X, sweep_hook):
     r, m = X.shape
     H2 = 2.0 * H
     out = X.copy()
-    sup = X > 1e-9  # nonempty: the rows of X lie on the simplex
+    sup = X > ACTIVE_TOL  # nonempty: the rows of X lie on the simplex
     saved = np.zeros_like(sup)
     best = np.full(r, m + 1)  # fewest infeasible coordinates seen
     stall = np.zeros(r, dtype=int)  # rounds since that count last fell
@@ -408,12 +370,13 @@ def _restarted_gradient(H, F, X, lam_max, sweep_hook):
     return X
 
 
-def solve_simplex_qp_rows(H, F, x0, kkt_tol=1e-6, sweep_hook=None):
+def solve_simplex_qp_rows(H, F, x0, sweep_hook=None):
     """Solve min_x x H x^T - x f^T over the simplex for every row at once.
 
-    All rows share the same H; F stacks one f per row. Each row starts from
-    whichever scores lower: its warm start ``x0`` projected onto the
-    simplex, or the projection of its minimizer on the hyperplane sum x = 1,
+    All rows share the same symmetric PSD H (min z H z^T + z fbar maps to
+    f = -fbar); F stacks one f per row. Each row starts from whichever
+    scores lower: its warm start ``x0`` projected onto the simplex, or the
+    projection of its minimizer on the hyperplane sum x = 1,
     0.5 H^-1 (f + lam 1); one inverse of H serves every row, and a singular
     H keeps the warm start. Block principal pivoting then solves all rows
     exactly: each round solves every unfinished row's KKT system on its
@@ -421,7 +384,7 @@ def solve_simplex_qp_rows(H, F, x0, kkt_tol=1e-6, sweep_hook=None):
     coordinate and adds every violated dual of every row at once; a row
     whose count of such coordinates has not fallen for 3 rounds pivots one
     at a time until it falls. Rows that empty their support, cycle, run out
-    of rounds or end over kkt_tol (singular H_SS) are restarted from an
+    of rounds or end over KKT_TOL (singular H_SS) are restarted from an
     accelerated projected gradient run from their warm start, then given a
     second pivoting pass. A warm start that scores better than the solution
     and is itself KKT-certified is kept, which makes warm-started solves
@@ -431,47 +394,42 @@ def solve_simplex_qp_rows(H, F, x0, kkt_tol=1e-6, sweep_hook=None):
     round (kind "active_set") and once per gradient sweep (kind
     "gradient") with the number of rows still being worked on.
 
-    Raises QPConvergenceError when some row ends over kkt_tol.
+    Raises ValueError on a misshapen, asymmetric or indefinite input, and
+    QPConvergenceError on non-finite 2H or F or a row ending over KKT_TOL.
     """
     H = np.asarray(H, dtype=float)
     F = np.asarray(F, dtype=float)
-    w = _check_psd(H)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError("H must be square")
+    if F.ndim != 2 or F.shape[1] != H.shape[0] or np.shape(x0) != F.shape:
+        raise ValueError(f"F and x0 must be (rows, {H.shape[0]}) to match H")
+    if not np.abs(H).max() <= 0.5 * np.finfo(float).max:  # 2H finite; NaN fails too
+        raise QPConvergenceError("QP data not finite: 2H overflows or H holds inf/NaN")
+    if not np.all(np.isfinite(F)):
+        raise QPConvergenceError("QP data not finite: F holds inf/NaN")
+    if np.abs(H - H.T).max() > 1e-10:
+        raise ValueError("H must be symmetric")
+    w = np.linalg.eigvalsh(H)
+    if w[0] < -1e-8:
+        raise ValueError(f"H is not positive semi-definite (lambda_min={w[0]:.3e})")
     warm = project_rows_onto_simplex(x0)
     warm_obj = _row_obj(H, F, warm)
     x, failed = _active_set(H, F, _hyperplane_start(H, F, warm, warm_obj, w), sweep_hook)
-    failed |= ~(_kkt_rows(H, F, x) <= kkt_tol)  # NaN fails too
+    failed |= ~(kkt_residual(H, F, x) <= KKT_TOL)  # NaN fails too
     if failed.any():
         Ff = F[failed]
         pg = _restarted_gradient(H, Ff, warm[failed], float(w[-1]), sweep_hook)
         x2, _ = _active_set(H, Ff, pg, sweep_hook)
-        better = _kkt_rows(H, Ff, x2) <= _kkt_rows(H, Ff, pg)
+        better = kkt_residual(H, Ff, x2) <= kkt_residual(H, Ff, pg)
         x[failed] = np.where(better[:, None], x2, pg)
-    keep = (warm_obj < _row_obj(H, F, x)) & (_kkt_rows(H, F, warm) <= kkt_tol)
+    keep = (warm_obj < _row_obj(H, F, x)) & (kkt_residual(H, F, warm) <= KKT_TOL)
     x[keep] = warm[keep]
-    residuals = _kkt_rows(H, F, x)
-    over = np.flatnonzero(~(residuals <= kkt_tol))
+    residuals = kkt_residual(H, F, x)
+    over = np.flatnonzero(~(residuals <= KKT_TOL))
     if over.size:
         i = over[0]
         raise QPConvergenceError(
-            f"row {i}: KKT residual {residuals[i]:.3e} exceeds {kkt_tol:g} "
+            f"row {i}: KKT residual {residuals[i]:.3e} exceeds {KKT_TOL:g} "
             "after the active-set and gradient passes"
         )
     return x
-
-
-def solve_simplex_qp(qp, x0, kkt_tol=1e-6):
-    """Solve a SimplexQP from the starting point ``x0``: a single-vector
-    wrapper around solve_simplex_qp_rows."""
-    x0 = np.asarray(x0, dtype=float)
-    return solve_simplex_qp_rows(qp.H, qp.f[None, :], x0[None, :], kkt_tol=kkt_tol)[0]
-
-
-def kkt_residual(qp, x, active_tol=1e-9):
-    """Max KKT violation of ``x`` for the simplex QP.
-
-    With g = 2 H x - f and lambda the mean gradient over the support, the
-    residual collects stationarity on the support, dual feasibility off it,
-    and primal feasibility of the simplex constraints.
-    """
-    x = np.asarray(x, dtype=float)
-    return float(_kkt_rows(qp.H, qp.f[None, :], x[None, :], active_tol)[0])

@@ -32,9 +32,7 @@ from .graphs import (
 )
 from .numerics import (
     QPConvergenceError,
-    SimplexQP,
     project_rows_onto_simplex,
-    solve_simplex_qp,
     solve_simplex_qp_rows,
     truncated_svd,
 )
@@ -186,7 +184,7 @@ def compute_q(emb, d_n, d_m):
 
 def update_p_rows(b, q, gamma):
     """Row-wise closed form of the P subproblem at fixed q:
-    p_i = project_simplex(b_i - (gamma/2) q_i)."""
+    p_i = simplex projection of b_i - (gamma/2) q_i."""
     return project_rows_onto_simplex(np.asarray(b, dtype=float) - 0.5 * gamma * q)
 
 
@@ -298,7 +296,7 @@ def update_delta(zs, p, delta_prev=None):
         for j in range(i, nviews):
             h[i, j] = h[j, i] = float((mats[i] * mats[j]).sum())
     f = np.array([2.0 * float((w * pw).sum()) for w in mats])
-    delta = solve_simplex_qp(SimplexQP(h, f), np.full(nviews, 1.0 / nviews))
+    delta = solve_simplex_qp_rows(h, f[None, :], np.full((1, nviews), 1.0 / nviews))[0]
     if delta_prev is not None:
         prev = np.asarray(delta_prev, dtype=float)
         if prev @ h @ prev - prev @ f < delta @ h @ delta - delta @ f:
@@ -309,7 +307,8 @@ def update_delta(zs, p, delta_prev=None):
 def objective(state, ds, anchors, cfg):
     """Unified objective value at the current state:
     sum_v (||X_v - A_v Z_v^T||_F^2 + alpha ||Z_v||_F^2)
-    + beta ||sum_v delta_v Z_v - P||_F^2."""
+    + beta ||sum_v delta_v Z_v - P||_F^2. Raises QPConvergenceError when it
+    overflows, which fit's relative stopping test would take for convergence."""
     total = 0.0
     for x, a, z in zip(ds.views, anchors.per_view, state.zs):
         w = _weights(z)
@@ -317,6 +316,9 @@ def objective(state, ds, anchors, cfg):
         total += float((r * r).sum()) + cfg.alpha * float((w * w).sum())
     diff = blend(state.zs, state.delta) - _weights(state.p)
     total += cfg.beta * float((diff * diff).sum())
+    if not math.isfinite(total):
+        raise QPConvergenceError(f"objective is {total} after {state.iterations} iterations; "
+                                 f"alpha={cfg.alpha:g} or beta={cfg.beta:g} is too large")
     return total
 
 

@@ -20,7 +20,7 @@ import udbgl.solver as solver_mod
 from udbgl.dataset import synth_blobs
 from udbgl.graphs import EDGE_EPS, count_components, sample_component_labels, _weights
 from udbgl.metrics import ContingencyTable, acc, nmi, purity
-from udbgl.numerics import SimplexQP, kkt_residual, project_simplex, solve_simplex_qp
+from udbgl.numerics import project_rows_onto_simplex, solve_simplex_qp_rows
 from udbgl.solver import SolverConfig, fit, objective, update_f
 
 BLOBS = dict(n=300, c=3, n_views=3, dims=[4, 4, 4], noise=0.1)
@@ -124,8 +124,7 @@ def test_criterion_04_qp_oracles():
             p = rng.random((n, k)) + 0.05
             p /= p.sum(axis=1, keepdims=True)
             f = 2.0 * np.einsum("ank,nk->a", mats, p)
-        qp = SimplexQP(h, f)
-        x = solve_simplex_qp(qp, np.full(m, 1.0 / m))
+        x = solve_simplex_qp_rows(h, f[None, :], np.full((1, m), 1.0 / m))[0]
         xs = simplex_qp_oracle(h, f)
         dx = float(np.abs(x - xs).max())
         dobj = float((x @ h @ x - f @ x) - (xs @ h @ xs - f @ xs))
@@ -144,7 +143,7 @@ def test_criterion_05_simplex_projection():
     for _ in range(1000):
         dim = int(rng.integers(1, 11))
         v = rng.uniform(-4, 4, size=dim) * rng.choice([0.01, 1.0, 100.0])
-        dx = float(np.abs(project_simplex(v) - projection_oracle(v)).max())
+        dx = float(np.abs(project_rows_onto_simplex(v[None, :])[0] - projection_oracle(v)).max())
         worst = max(worst, dx)
         assert dx <= 1e-12, f"projection off by {dx:.2e}"
     _report(5, f"1000/1000 projections within 1e-12 (worst {worst:.2e})")

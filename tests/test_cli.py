@@ -183,6 +183,21 @@ def test_unreachable_rank_target_exits_3(tmp_path, capsys):
     assert "solver failure:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,key,value", [
+    (["run"], "alpha", 1e308),  # the objective overflows at the K-NN seed
+    (["run"], "beta", 1e308),  # a Z-row QP's F overflows
+    (["run"], "alpha", 1e307),  # finite QP data, infinite objective
+    (["ablate", "--variant", "knn_fusion_only"], "alpha", 1e307),
+    (["ablate", "--variant", "two_phase"], "alpha", 1e308),  # 2H overflows
+])
+def test_extreme_regularization_exits_3(tmp_path, capsys, command, key, value):
+    cfg = write_config(tmp_path, m=10, K=5, **{key: value}, **SYNTH)
+    out = tmp_path / "o"
+    assert main([*command, "--config", cfg, "--out", str(out)]) == EXIT_SOLVER
+    assert "solver failure:" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # synth
 

@@ -6,17 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import projection_oracle, simplex_qp_oracle
 
+import udbgl.numerics as numerics
 from udbgl.numerics import (
     QPConvergenceError,
-    SimplexQP,
     _fill_empty,
     _kmeanspp,
     _sqdist,
     kkt_residual,
     kmeans,
     project_rows_onto_simplex,
-    project_simplex,
-    solve_simplex_qp,
     solve_simplex_qp_rows,
     truncated_svd,
 )
@@ -27,17 +25,17 @@ from udbgl.numerics import (
 
 def test_project_simplex_shifts_deficit_equally():
     # sum is 0.9, all coordinates stay positive -> each gains 0.1/3
-    out = project_simplex(np.array([0.5, 0.3, 0.1]))
+    out = project_rows_onto_simplex(np.array([[0.5, 0.3, 0.1]]))[0]
     assert np.allclose(out, [0.5 + 1 / 30, 0.3 + 1 / 30, 0.1 + 1 / 30], atol=1e-15)
 
 
 def test_project_simplex_fixes_feasible_points():
-    v = np.array([0.2, 0.5, 0.3])
-    assert np.allclose(project_simplex(v), v, atol=1e-15)
+    v = np.array([[0.2, 0.5, 0.3]])
+    assert np.allclose(project_rows_onto_simplex(v), v, atol=1e-15)
 
 
 def test_project_simplex_saturates_to_vertex():
-    out = project_simplex(np.array([-10.0, 5.0, -3.0]))
+    out = project_rows_onto_simplex(np.array([[-10.0, 5.0, -3.0]]))[0]
     assert np.allclose(out, [0.0, 1.0, 0.0], atol=1e-15)
 
 
@@ -46,7 +44,7 @@ def test_project_simplex_matches_kkt_oracle():
     for _ in range(1000):
         dim = int(rng.integers(1, 11))
         v = rng.uniform(-3, 3, size=dim) * rng.choice([0.1, 1.0, 10.0])
-        out = project_simplex(v)
+        out = project_rows_onto_simplex(v[None, :])[0]
         assert abs(out.sum() - 1.0) <= 1e-12
         assert out.min() >= 0.0
         assert np.abs(out - projection_oracle(v)).max() <= 1e-12
@@ -57,7 +55,7 @@ def test_project_rows_matches_per_row_projection():
     mat = rng.standard_normal((40, 7)) * 3
     out = project_rows_onto_simplex(mat)
     for i in range(mat.shape[0]):
-        assert np.allclose(out[i], project_simplex(mat[i]), atol=1e-14)
+        assert np.allclose(out[i], project_rows_onto_simplex(mat[i : i + 1])[0], atol=1e-14)
 
 
 def test_project_rows_rejects_bad_input():
@@ -66,7 +64,7 @@ def test_project_rows_rejects_bad_input():
     with pytest.raises(ValueError):
         project_rows_onto_simplex(np.array([[np.nan, 1.0]]))
     with pytest.raises(ValueError):
-        project_simplex(np.zeros((2, 2)))
+        project_rows_onto_simplex(np.zeros(3))  # a vector, not rows
 
 
 # ---------------------------------------------------------------------------
@@ -278,35 +276,51 @@ def test_truncated_svd_rejects_bad_shapes():
 # ---------------------------------------------------------------------------
 # simplex QP
 
-def test_simplex_qp_validates_data():
+def _solve_row(h, f, x0):
+    # one-row call of the batched solver
+    return solve_simplex_qp_rows(h, f[None, :], x0[None, :])[0]
+
+
+def test_simplex_qp_validates_data(monkeypatch):
+    x0 = np.full((1, 2), 0.5)
     with pytest.raises(ValueError):
-        SimplexQP(np.zeros((2, 3)), np.zeros(2))
+        solve_simplex_qp_rows(np.zeros((2, 3)), np.zeros((1, 2)), x0)
     with pytest.raises(ValueError):
-        SimplexQP(np.eye(2), np.zeros(3))
+        solve_simplex_qp_rows(np.eye(2), np.zeros((1, 3)), x0)
     with pytest.raises(ValueError):
-        SimplexQP(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))  # asymmetric
-    with pytest.raises(ValueError):
-        SimplexQP(np.full((2, 2), np.nan), np.zeros(2))
+        solve_simplex_qp_rows(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((1, 2)), x0)  # asymmetric
+
+    # non-finite data fails typed before any KKT solve: np.linalg.pinv
+    # never returned on the infinite stacks an overflowing 2H once built
+    def never(*args, **kwargs):
+        raise AssertionError("non-finite QP data reached a KKT solve")
+    monkeypatch.setattr(np.linalg, "pinv", never)
+    monkeypatch.setattr(np.linalg, "solve", never)
+    with pytest.raises(QPConvergenceError, match="not finite"):
+        solve_simplex_qp_rows(np.full((2, 2), np.nan), np.zeros((1, 2)), x0)
+    with pytest.raises(QPConvergenceError, match="F holds inf"):
+        solve_simplex_qp_rows(np.eye(2), np.array([[np.inf, 0.0]]), x0)
+    with pytest.raises(QPConvergenceError, match="2H overflows"):
+        solve_simplex_qp_rows(1e308 * np.eye(2), np.zeros((1, 2)), x0)
 
 
 def test_solve_rejects_indefinite_hessian():
-    qp = SimplexQP(np.diag([1.0, -1.0]), np.zeros(2))
     with pytest.raises(ValueError):
-        solve_simplex_qp(qp, np.array([0.5, 0.5]))
+        solve_simplex_qp_rows(np.diag([1.0, -1.0]), np.zeros((1, 2)), np.full((1, 2), 0.5))
 
 
 def test_solve_identity_hessian_is_projection():
     rng = np.random.default_rng(10)
     for _ in range(20):
         v = rng.uniform(-2, 2, size=4)
-        qp = SimplexQP(np.eye(4), 2.0 * v)  # ||x - v||^2 up to a constant
-        x = solve_simplex_qp(qp, np.full(4, 0.25))
-        assert np.abs(x - project_simplex(v)).max() <= 1e-6
+        # ||x - v||^2 up to a constant
+        x = _solve_row(np.eye(4), 2.0 * v, np.full(4, 0.25))
+        assert np.abs(x - project_rows_onto_simplex(v[None, :])[0]).max() <= 1e-6
 
 
 def test_solve_one_dimensional_qp():
-    qp = SimplexQP(np.array([[3.0]]), np.array([-1.0]))
-    assert np.allclose(solve_simplex_qp(qp, np.array([1.0])), [1.0])
+    x = solve_simplex_qp_rows(np.array([[3.0]]), np.array([[-1.0]]), np.array([[1.0]]))
+    assert np.allclose(x, [[1.0]])
 
 
 def test_solve_matches_enumeration_oracle():
@@ -316,18 +330,17 @@ def test_solve_matches_enumeration_oracle():
         a = rng.standard_normal((m, m))
         h = a.T @ a + 1e-3 * np.eye(m)
         f = rng.uniform(-2, 2, size=m) * rng.choice([0.5, 1.0, 5.0])
-        qp = SimplexQP(h, f)
-        x = solve_simplex_qp(qp, np.full(m, 1.0 / m))
+        x = _solve_row(h, f, np.full(m, 1.0 / m))
         xs = simplex_qp_oracle(h, f)
         assert np.abs(x - xs).max() <= 2e-3
         assert (x @ h @ x - f @ x) - (xs @ h @ xs - f @ xs) <= 1e-6
-        assert kkt_residual(qp, x) <= 1e-6
+        assert kkt_residual(h, f[None, :], x[None, :])[0] <= 1e-6
 
 
 def test_solve_matches_grid_search():
     h = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]])
     f = np.array([0.7, -0.4, 1.1])
-    x = solve_simplex_qp(SimplexQP(h, f), np.full(3, 1 / 3))
+    x = _solve_row(h, f, np.full(3, 1 / 3))
     # exhaustive grid over the 2-simplex with step 1e-3
     step = 1e-3
     ticks = np.arange(0.0, 1.0 + step / 2, step)
@@ -349,8 +362,7 @@ def test_solve_sweep_hook_sees_every_call_and_rows_are_certified():
         out = solve_simplex_qp_rows(h, F, np.full((8, m), 1.0 / m),
                                     sweep_hook=lambda *args: calls.append(args))
         assert len(calls) >= 1
-        for i in range(8):
-            assert kkt_residual(SimplexQP(h, F[i]), out[i]) <= 1e-6
+        assert np.all(kkt_residual(h, F, out) <= 1e-6)
 
 
 def test_solve_warm_start_never_worse():
@@ -359,9 +371,8 @@ def test_solve_warm_start_never_worse():
         a = rng.standard_normal((4, 4))
         h = a.T @ a + 0.1 * np.eye(4)
         f = rng.standard_normal(4)
-        qp = SimplexQP(h, f)
-        warm = project_simplex(rng.standard_normal(4))
-        x = solve_simplex_qp(qp, warm)
+        warm = project_rows_onto_simplex(rng.standard_normal((1, 4)))[0]
+        x = _solve_row(h, f, warm)
         assert (x @ h @ x - f @ x) <= (warm @ h @ warm - f @ warm) + 1e-12
 
 
@@ -375,19 +386,19 @@ def _stiff_instance():
 
 def test_solve_polish_finishes_stiff_instance():
     h, f = _stiff_instance()
-    qp = SimplexQP(h, f)
-    x = solve_simplex_qp(qp, np.full(3, 1 / 3))
+    x = _solve_row(h, f, np.full(3, 1 / 3))
     xs = simplex_qp_oracle(h, f)
     assert np.abs(x - xs).max() <= 1e-8
-    assert kkt_residual(qp, x) <= 1e-6
+    assert kkt_residual(h, f[None, :], x[None, :])[0] <= 1e-6
 
 
-def test_solve_kkt_gate_raises_on_stiff_instance():
+def test_solve_kkt_gate_raises_on_stiff_instance(monkeypatch):
     # the active-set answer here has a KKT residual of exactly 0.0, so only a
     # tolerance no row can meet makes the gate fire (after the fallback)
+    monkeypatch.setattr(numerics, "KKT_TOL", -1.0)
     h, f = _stiff_instance()
     with pytest.raises(QPConvergenceError, match="row 0"):
-        solve_simplex_qp(SimplexQP(h, f), np.full(3, 1 / 3), kkt_tol=-1.0)
+        _solve_row(h, f, np.full(3, 1 / 3))
 
 
 def test_solve_linear_objective_reaches_vertex():
@@ -395,7 +406,7 @@ def test_solve_linear_objective_reaches_vertex():
     # pseudo-inverse answer on the full support is not optimal, so the row
     # must be finished by the gradient fallback
     f = np.array([0.3, 1.2, -0.5, 0.9])
-    x = solve_simplex_qp(SimplexQP(np.zeros((4, 4)), f), np.full(4, 0.25))
+    x = _solve_row(np.zeros((4, 4)), f, np.full(4, 0.25))
     assert np.array_equal(x, [0.0, 1.0, 0.0, 0.0])
 
 
@@ -407,7 +418,7 @@ def test_batched_rows_match_single_solves():
     X0 = project_rows_onto_simplex(rng.standard_normal((6, 4)))
     batch = solve_simplex_qp_rows(h, F, X0)
     for i in range(6):
-        single = solve_simplex_qp(SimplexQP(h, F[i]), X0[i])
+        single = _solve_row(h, F[i], X0[i])
         assert np.abs(batch[i] - single).max() <= 1e-5
 
 
@@ -476,7 +487,7 @@ def test_stalled_block_pivots_finish_by_single_pivots(seed):
     assert set(kinds) == {"active_set"}
     xs = simplex_qp_oracle(h, f)
     assert (x @ h @ x - f @ x) - (xs @ h @ xs - f @ xs) <= 1e-8
-    assert kkt_residual(SimplexQP(h, f), x) <= 1e-6
+    assert kkt_residual(h, f[None, :], x[None, :])[0] <= 1e-6
 
 
 @settings(max_examples=300, deadline=None)
@@ -505,10 +516,11 @@ def test_solve_rows_match_oracle_objective(seed, m, rows, hessian, log_rho, star
     for f, x in zip(F, out):
         xs = simplex_qp_oracle(h, f)
         assert (x @ h @ x - f @ x) - (xs @ h @ xs - f @ xs) <= 1e-8
-        assert kkt_residual(SimplexQP(h, f), x) <= 1e-6
+    assert np.all(kkt_residual(h, F, out) <= 1e-6)
 
 
 def test_kkt_residual_flags_non_optimal_points():
-    qp = SimplexQP(np.eye(3), np.array([2.0, 0.0, 0.0]))  # optimum is e_0
-    assert kkt_residual(qp, np.array([1.0, 0.0, 0.0])) <= 1e-12
-    assert kkt_residual(qp, np.array([0.0, 1.0, 0.0])) > 0.5
+    F = np.array([[2.0, 0.0, 0.0]] * 2)  # the optimum is e_0
+    r = kkt_residual(np.eye(3), F, np.eye(3)[:2])
+    assert r[0] <= 1e-12
+    assert r[1] > 0.5

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from conftest import (
     dense_bipartite_laplacian,
     eigen_component_count,
@@ -569,3 +571,26 @@ def test_fit_rejects_unknown_variant_and_bad_config():
         fit(ds, SolverConfig(c=2, alpha=-1.0))
     with pytest.raises(ValueError, match="exceeds sample count"):
         fit(ds, SolverConfig(c=2, m=50))
+
+
+EXTREME_BLOBS = synth_blobs(40, 3, 2, noise=0.1, seed=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_alpha=st.floats(-300.0, 308.0), log_beta=st.floats(-300.0, 308.0))
+@example(log_alpha=308.0, log_beta=0.0)
+@example(log_alpha=0.0, log_beta=308.0)
+@example(log_alpha=307.7, log_beta=0.0)
+def test_fit_ends_labeled_or_typed_for_any_regularization(log_alpha, log_beta):
+    # alpha, beta log-uniform over [1e-300, 1e308]: near the top the QP data
+    # or the objective overflow float64, which must end in a typed error; the
+    # pinned examples are such edges (2H and the seed objective, F, and an
+    # objective that overflows while the QP data stays finite)
+    cfg = SolverConfig(c=3, alpha=10.0 ** log_alpha, beta=10.0 ** log_beta,
+                       m=8, outer_max_iter=5)
+    try:
+        labels, state = fit(EXTREME_BLOBS, cfg)
+    except (RankTargetError, QPConvergenceError):
+        return
+    assert len(np.unique(labels)) == 3
+    assert np.all(np.isfinite(state.objective_trace))
