@@ -10,6 +10,8 @@ from .numerics import kmeans
 
 __all__ = ["AnchorSet", "build_anchors"]
 
+_LLOYD_STEPS = 10  # anchors only summarize the data; later Lloyd steps barely move them
+
 
 @dataclass
 class AnchorSet:
@@ -30,13 +32,14 @@ def build_anchors(ds, m, seed=0):
     """Select m shared anchors for every view of ``ds``.
 
     Stacks all views into a (sum d_v, n) matrix, runs seeded k-means with
-    k = m on it, and splits each center back into per-view blocks in view
-    order, so anchor j is consistent across views.
+    k = m on it (10 k-means++ restarts of at most 10 Lloyd steps each, the
+    lowest-SSE restart wins), and splits each center back into per-view
+    blocks in view order, so anchor j is consistent across views.
     """
     if m > ds.n:
         raise ValueError(f"m={m} exceeds sample count n={ds.n}")
     stacked = np.vstack(ds.views)
-    centers, _ = kmeans(stacked, m, seed=seed)
+    centers, _ = kmeans(stacked, m, seed=seed, max_iter=_LLOYD_STEPS)
     per_view = []
     row = 0
     for d in ds.dims:

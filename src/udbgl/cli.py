@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -102,6 +103,18 @@ def _metrics_block(pred, truth):
     }
 
 
+def _strict_json(value):
+    # strict JSON has no Infinity, and gamma_max may be infinite: write +-inf
+    # as the strings "Infinity" / "-Infinity"
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(v) for v in value]
+    if isinstance(value, float) and math.isinf(value):
+        return "Infinity" if value > 0 else "-Infinity"
+    return value
+
+
 def _write_run_outputs(out_dir, labels, state, cfg, raw, ds, variant, extra_timings):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -129,7 +142,7 @@ def _write_run_outputs(out_dir, labels, state, cfg, raw, ds, variant, extra_timi
         dump_graph_csv(state.p, out_dir / "consensus_graph.csv")
         report["consensus_path"] = "consensus_graph.csv"
     with open(out_dir / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2)
+        json.dump(_strict_json(report), fh, indent=2, allow_nan=False)
     return report
 
 

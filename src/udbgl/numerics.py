@@ -352,12 +352,16 @@ def _hyperplane_start(H, F, warm, warm_obj, w):
 def _restarted_gradient(H, F, X, lam_max, sweep_hook):
     # 500 sweeps of accelerated projected gradient (Beck & Teboulle
     # 2009) with function-value restart (O'Donoghue & Candes 2015), one step
-    # size 1 / (2 lambda_max(H)) for every row
+    # size 1 / (2 lambda_max(H)) for every row, cut where a row would move
+    # farther than 2^52 (a near-zero H with a huge F): past that, float64
+    # spacing exceeds the simplex's unit scale and the projection breaks down
     step = 1.0 / (2.0 * max(lam_max, 1e-12))
     y, t = X.copy(), np.ones(len(X))
     obj = _row_obj(H, F, X)
     for _ in range(500):
-        nxt = project_rows_onto_simplex(y - step * (2.0 * (y @ H) - F))
+        g = 2.0 * (y @ H) - F
+        rate = np.minimum(step, 2.0**52 / np.maximum(np.abs(g).max(axis=1), 1.0))
+        nxt = project_rows_onto_simplex(y - rate[:, None] * g)
         if sweep_hook is not None:
             sweep_hook("gradient", len(X))
         nobj = _row_obj(H, F, nxt)

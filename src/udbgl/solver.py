@@ -268,9 +268,13 @@ def update_z(v, x, a, zs, delta, p, alpha, beta):
     for i, w in enumerate(mats):
         if i != v:
             rest += delta[i] * w
+    coupling = 2.0 * beta * delta[v]
+    if not math.isfinite(coupling):  # inf * 0 would put NaN into F
+        raise QPConvergenceError(f"view {v}: coupling weight 2 beta delta_v = {coupling} "
+                                 f"is not finite; beta={beta:g} is too large")
     m = a.shape[1]
     h = a.T @ a + (alpha + beta * delta[v] ** 2) * np.eye(m)
-    fbar = -2.0 * (x.T @ a) + 2.0 * beta * delta[v] * (rest - pw)
+    fbar = -2.0 * (x.T @ a) + coupling * (rest - pw)
     try:
         znew = solve_simplex_qp_rows(h, -fbar, mats[v])
     except QPConvergenceError as exc:

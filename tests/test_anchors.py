@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from udbgl.anchors import build_anchors
-from udbgl.dataset import MultiViewDataset, synth_blobs
+from udbgl.dataset import MultiViewDataset, normalize, synth_blobs
 from udbgl.numerics import kmeans
 
 
@@ -57,3 +57,23 @@ def test_build_anchors_rejects_m_above_n():
     ds = MultiViewDataset([np.zeros((2, 3))])
     with pytest.raises(ValueError, match="exceeds sample count"):
         build_anchors(ds, 4)
+
+
+def test_build_anchors_caps_lloyd_steps():
+    # W1-sized data, whose restarts need 14 to 22 Lloyd passes: the anchors
+    # are the 10-step k-means centers, not the converged ones
+    ds = normalize(synth_blobs(n=2000, c=5, n_views=3, dims=[20] * 3, noise=0.3, seed=0))
+    got = np.vstack(build_anchors(ds, 50, seed=0).per_view)
+    capped, _ = kmeans(np.vstack(ds.views), 50, seed=0, max_iter=10)
+    uncapped, _ = kmeans(np.vstack(ds.views), 50, seed=0)
+    assert np.array_equal(got, capped)
+    assert not np.array_equal(got, uncapped)
+
+
+def test_build_anchors_unchanged_where_restarts_converge_within_the_cap():
+    # full-qp-sized blobs settle within the cap, so the anchors equal
+    # uncapped k-means bit for bit
+    ds = normalize(synth_blobs(n=240, c=5, n_views=3, dims=[20] * 3, noise=0.3, seed=0))
+    got = np.vstack(build_anchors(ds, 30, seed=0).per_view)
+    uncapped, _ = kmeans(np.vstack(ds.views), 30, seed=0)
+    assert np.array_equal(got, uncapped)

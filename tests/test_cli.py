@@ -105,6 +105,18 @@ def test_run_dumps_consensus_when_asked(tmp_path):
     assert comps["anchor_only"] == comps["total"] - comps["sample_bearing"]
 
 
+def test_report_is_strict_json_with_infinite_gamma_max(tmp_path):
+    cfg = write_config(tmp_path, gamma_max=float("inf"), **SYNTH)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert report["config"]["gamma_max"] == "Infinity"
+    assert report["config"]["resolved"]["gamma_max"] == "Infinity"
+
+
 def test_run_out_dir_from_config(tmp_path):
     out = tmp_path / "cfg_out"
     cfg = write_config(tmp_path, out_dir=str(out), **SYNTH)

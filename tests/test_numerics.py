@@ -410,6 +410,17 @@ def test_solve_linear_objective_reaches_vertex():
     assert np.array_equal(x, [0.0, 1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("f", [[1e300, 0.0, -1e300], [1e300, 0.0, 0.0], [3e307, 0.0, -3e307]])
+def test_solve_linear_objective_with_huge_finite_f(f):
+    # with H = 0 the full gradient step 1 / (2e-12) times a ~1e300 gradient
+    # overflows float64; the data is finite, so the call must still return
+    # the certified optimum e_0, never a ValueError
+    H, F = np.zeros((3, 3)), np.array([f])
+    x = solve_simplex_qp_rows(H, F, np.full((1, 3), 1 / 3))
+    assert np.array_equal(x, [[1.0, 0.0, 0.0]])
+    assert kkt_residual(H, F, x)[0] <= numerics.KKT_TOL
+
+
 def test_batched_rows_match_single_solves():
     rng = np.random.default_rng(14)
     a = rng.standard_normal((4, 4))
