@@ -25,6 +25,10 @@ def project_rows_onto_simplex(mat):
     Sort-and-threshold closed form: with u the row sorted descending and
     rho the largest k such that u_k + (1 - sum_{i<=k} u_i)/k > 0, the
     projection is max(v - theta, 0) with theta = (sum_{i<=rho} u_i - 1)/rho.
+    A row whose largest entry lies outside [-1, 1] is first shifted by that
+    entry, which leaves its projection unchanged but keeps the 1 from being
+    lost to rounding (above 2^53 it is lost entirely); other rows are
+    computed as they are.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[1] == 0:
@@ -33,6 +37,11 @@ def project_rows_onto_simplex(mat):
         raise ValueError("non-finite input")
     n, m = mat.shape
     u = np.sort(mat, axis=1)[:, ::-1]
+    shift = np.where(np.abs(u[:, 0]) > 1.0, u[:, 0], 0.0)
+    if shift.any():
+        # rounding x - s is monotone, so u stays sorted; x - 0.0 keeps every bit
+        u = u - shift[:, None]
+        mat = mat - shift[:, None]
     css = np.cumsum(u, axis=1)
     k = np.arange(1, m + 1)
     # the condition holds for a prefix of k; its length is rho >= 1
@@ -52,7 +61,10 @@ def _sqdist(a, b, aa):
 
 
 def _kmeanspp(x, xx, k, rng):
+    # greedy k-means++ (Arthur & Vassilvitskii 2007): each new center is the
+    # lowest-potential of 2 + floor(ln k) D^2-weighted candidates
     n = x.shape[0]
+    trials = 2 + int(np.log(k))
     centers = np.empty((k, x.shape[1]))
     chosen = np.zeros(n, dtype=bool)
     idx = int(rng.integers(n))
@@ -62,15 +74,19 @@ def _kmeanspp(x, xx, k, rng):
     for j in range(1, k):
         total = closest.sum()
         if total > 0:
-            r = rng.random() * total
-            idx = int(np.searchsorted(np.cumsum(closest), r, side="right"))
-            idx = min(idx, n - 1)
+            r = rng.random(trials) * total
+            cand = np.minimum(np.searchsorted(np.cumsum(closest), r, side="right"), n - 1)
+            # the points' norms xx are reused, not recomputed per candidate
+            d2 = xx[cand][:, None] + xx[None, :] - 2.0 * (x[cand] @ x.T)
+            d2 = np.minimum(np.maximum(d2, 0.0), closest)
+            best = int(np.argmin(d2.sum(axis=1)))
+            idx = int(cand[best])
+            closest = d2[best]
         else:
             # duplicated points: fall back to the first unchosen index
             idx = int(np.flatnonzero(~chosen)[0])
         centers[j] = x[idx]
         chosen[idx] = True
-        closest = np.minimum(closest, _sqdist(x, centers[j : j + 1], xx)[:, 0])
     return centers
 
 
@@ -119,8 +135,15 @@ def kmeans(points, k, seed=0, max_iter=100, n_init=10):
         per seed.
     max_iter : Lloyd iteration cap per restart, >= 1; iteration also stops
         at an assignment fixpoint.
-    n_init : independent k-means++ restarts; the run with the lowest
-        within-cluster SSE at its end wins.
+    n_init : independent restarts; the run with the lowest within-cluster
+        SSE at its end wins.
+
+    Each restart is seeded by greedy k-means++: the first center is a
+    uniformly drawn sample, and each next one is the candidate, among
+    2 + floor(ln k) samples drawn with probability proportional to their
+    squared distance to the nearest center so far, that leaves the lowest
+    total squared distance. When every sample coincides with a center
+    (duplicated points) the first unchosen sample is taken.
 
     Returns
     -------
@@ -398,8 +421,9 @@ def solve_simplex_qp_rows(H, F, x0, sweep_hook=None):
     round (kind "active_set") and once per gradient sweep (kind
     "gradient") with the number of rows still being worked on.
 
-    Raises ValueError on a misshapen, asymmetric or indefinite input, and
-    QPConvergenceError on non-finite 2H or F or a row ending over KKT_TOL.
+    Raises ValueError on a misshapen, asymmetric or indefinite input
+    (lambda_min below -1e-8 max(1, lambda_max)), and QPConvergenceError on
+    non-finite 2H, F or eigenvalues of H, or a row ending over KKT_TOL.
     """
     H = np.asarray(H, dtype=float)
     F = np.asarray(F, dtype=float)
@@ -414,7 +438,10 @@ def solve_simplex_qp_rows(H, F, x0, sweep_hook=None):
     if np.abs(H - H.T).max() > 1e-10:
         raise ValueError("H must be symmetric")
     w = np.linalg.eigvalsh(H)
-    if w[0] < -1e-8:
+    if not np.all(np.isfinite(w)):
+        raise QPConvergenceError("QP data not finite: eigenvalues of H overflow")
+    # relative to the spectrum: roundoff in lambda_min grows with lambda_max
+    if w[0] < -1e-8 * max(1.0, w[-1]):
         raise ValueError(f"H is not positive semi-definite (lambda_min={w[0]:.3e})")
     warm = project_rows_onto_simplex(x0)
     warm_obj = _row_obj(H, F, warm)

@@ -58,6 +58,43 @@ def test_project_rows_matches_per_row_projection():
         assert np.allclose(out[i], project_rows_onto_simplex(mat[i : i + 1])[0], atol=1e-14)
 
 
+@pytest.mark.parametrize("row", [[1e17, 0.0, 1.0], [1e300, 0.0]])
+def test_project_simplex_huge_entry_reaches_vertex(row):
+    # above 2^53 the 1 in 1 - u_1 is lost; the row must still land on e_0
+    out = project_rows_onto_simplex(np.array([row]))
+    assert np.array_equal(out, np.eye(len(row))[:1])
+
+
+def test_project_simplex_is_shift_invariant_up_to_1e300():
+    # u = (v + t) - t is exact, so v + t and u are the same point of the
+    # simplex's affine family and must project alike for every offset t
+    rng = np.random.default_rng(21)
+    v = rng.uniform(-3, 3, size=(40, 6))
+    v[::4, 3] = v[::4, 0]  # ties
+    for t in 10.0 ** np.arange(0, 301, 15):
+        for sign in (1.0, -1.0):
+            w = v + sign * t
+            u = w - sign * t
+            got = project_rows_onto_simplex(w)
+            assert np.abs(got - project_rows_onto_simplex(u)).max() <= 1e-12, t
+            assert np.abs(got.sum(axis=1) - 1.0).max() <= 1e-12, t
+
+
+def test_project_simplex_rows_within_unit_range_keep_their_bits():
+    # a row whose largest entry lies in [-1, 1] is computed as before, even
+    # next to a row that needs shifting
+    rng = np.random.default_rng(22)
+    mat = rng.uniform(-1, 1, size=(30, 5))
+    alone = project_rows_onto_simplex(mat)
+    mixed = project_rows_onto_simplex(np.vstack([mat, [[1e17, 0.0, 1.0, 2.0, -5.0]]]))
+    assert np.array_equal(mixed[:30], alone)
+    u = np.sort(mat, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    rho = np.count_nonzero(u + (1.0 - css) / np.arange(1, 6) > 0.0, axis=1)
+    theta = (css[np.arange(30), rho - 1] - 1.0) / rho
+    assert np.array_equal(alone, np.maximum(mat - theta[:, None], 0.0))
+
+
 def test_project_rows_rejects_bad_input():
     with pytest.raises(ValueError):
         project_rows_onto_simplex(np.zeros((2, 0)))
@@ -184,6 +221,48 @@ def test_kmeans_matches_reference_lloyd():
         assert np.array_equal(np.signbit(centers), np.signbit(want_centers)), seed
 
 
+def _reference_greedy_kmeanspp(x, xx, k, rng):
+    # one candidate at a time: draw 2 + floor(ln k) D^2-weighted candidates
+    # and keep the first with the lowest potential. The candidates' Gram
+    # block is formed as one product, as in the package: BLAS rounds a
+    # one-row product differently, which would break ties the other way
+    n = x.shape[0]
+    first = int(rng.integers(n))
+    picked = [first]
+    closest = _sqdist(x, x[first : first + 1], xx)[:, 0]
+    while len(picked) < k:
+        total = closest.sum()
+        if total > 0:
+            cum = np.cumsum(closest)
+            cands = [min(int(np.searchsorted(cum, r, side="right")), n - 1)
+                     for r in rng.random(2 + int(np.log(k))) * total]
+            best = None
+            for c, g in zip(cands, x[cands] @ x.T):
+                d = np.minimum(np.maximum(xx[c] + xx - 2.0 * g, 0.0), closest)
+                if best is None or d.sum() < best[0]:
+                    best = (d.sum(), c, d)
+            _, idx, closest = best
+        else:
+            idx = next(i for i in range(n) if i not in picked)
+        picked.append(idx)
+    return x[picked]
+
+
+def test_kmeanspp_matches_reference_greedy():
+    # bit for bit, including duplicated points, k = n and k = 1
+    for seed in range(50):
+        rng = np.random.default_rng(400 + seed)
+        d, n = int(rng.integers(1, 25)), int(rng.integers(1, 200))
+        x = rng.standard_normal((n, d)) * 2
+        if seed % 3 == 0:
+            x = x[rng.integers(max(1, n // 4), size=n)]
+        k = n if seed % 5 == 0 else 1 if seed % 7 == 0 else int(rng.integers(1, n + 1))
+        xx = (x * x).sum(axis=1)
+        got = _kmeanspp(x, xx, k, np.random.default_rng(seed))
+        want = _reference_greedy_kmeanspp(x, xx, k, np.random.default_rng(seed))
+        assert np.array_equal(got, want), seed
+
+
 def test_kmeans_handles_duplicate_points():
     pts = np.array([[1.0, 1.0, 1.0, 5.0], [0.0, 0.0, 0.0, 0.0]])
     centers, assign = kmeans(pts, 2, seed=0)
@@ -307,6 +386,23 @@ def test_simplex_qp_validates_data(monkeypatch):
 def test_solve_rejects_indefinite_hessian():
     with pytest.raises(ValueError):
         solve_simplex_qp_rows(np.diag([1.0, -1.0]), np.zeros((1, 2)), np.full((1, 2), 0.5))
+    # the tolerance is relative to lambda_max (here 1), so -1e-3 still fails
+    with pytest.raises(ValueError, match="positive semi-definite"):
+        solve_simplex_qp_rows(np.diag([1.0, -1e-3]), np.zeros((1, 2)), np.full((1, 2), 0.5))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300, 8e307])
+def test_solve_huge_rank_one_hessian_is_not_called_indefinite(scale):
+    # eigvalsh puts lambda_min of ones * 1e200 at -5.8e184 against
+    # lambda_max 3e200 (and lambda_max at inf for 8e307): roundoff, not
+    # indefiniteness. RuntimeWarnings fail the test (pyproject filterwarnings)
+    H = np.ones((3, 3)) * scale
+    F = np.array([[1.0, 0.0, -1.0], [0.0, 0.0, 0.0]])
+    try:
+        x = solve_simplex_qp_rows(H, F, np.full((2, 3), 1 / 3))
+    except QPConvergenceError:
+        return
+    assert np.all(kkt_residual(H, F, x) <= numerics.KKT_TOL)
 
 
 def test_solve_identity_hessian_is_projection():
