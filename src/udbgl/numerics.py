@@ -1,6 +1,7 @@
 """Numerical kernels shared across the package: Euclidean simplex
 projection, seeded k-means, a Gram-route truncated SVD, and an exact
-batched block-pivoting solver for simplex-constrained quadratic programs."""
+batched dual semismooth Newton solver for simplex-constrained quadratic
+programs (proximal-point steps on the same loop when H is singular)."""
 
 from __future__ import annotations
 
@@ -241,6 +242,7 @@ def truncated_svd(mat, c):
 
 KKT_TOL = 1e-6  # a row is certified at a KKT residual of at most this
 ACTIVE_TOL = 1e-9  # coordinates above this form a row's support
+_BLOCK = 4096  # rows per Newton loop
 
 
 class QPConvergenceError(RuntimeError):
@@ -264,162 +266,109 @@ def kkt_residual(H, F, X):
     return np.maximum(r, np.maximum(-X, 0.0).max(axis=1))
 
 
-def _support_kkt_points(H2, F, sup):
-    # equality-constrained minimizers restricted to each row's support sup[i]:
-    # [H2_SS, -1; 1^T, 0] [x_S; lam] = [f_S; 1] with H2 = 2 H, i.e.
-    # 2 H x - f = lam on S, solved as one stack of (s+1) x (s+1) systems per
-    # support size s and scattered into one dense block, zero off the support
-    r, m = sup.shape
-    x = np.zeros((r, m))
-    lam = np.empty(r)
-    size = sup.sum(axis=1)
-    for s in np.unique(size):
-        g = np.flatnonzero(size == s)
-        idx = np.nonzero(sup[g])[1].reshape(g.size, s)
-        K = np.zeros((g.size, s + 1, s + 1))
-        K[:, :s, :s] = H2[idx[:, :, None], idx[:, None, :]]
-        K[:, :s, s] = -1.0
-        K[:, s, :s] = 1.0
-        rhs = np.ones((g.size, s + 1, 1))
-        rhs[:, :s, 0] = np.take_along_axis(F[g], idx, axis=1)
-        try:
-            sol = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError:
-            # singular H_SS (e.g. duplicated views in the delta Gram matrix)
-            sol = np.linalg.pinv(K) @ rhs
-        x[g[:, None], idx] = sol[:, :s, 0]
-        lam[g] = sol[:, s, 0]
-    return x, lam
+def _dual_newton(B, rho, F, starts, sweep_hook):
+    """Dual semismooth Newton solve (Li, Sun & Toh 2018) of
+    min_x x^T (B^T B + rho I) x - x^T f over the simplex, rho > 0, for every
+    row f of F at once.
 
-
-def _active_set(H, F, X, sweep_hook):
-    """Block principal pivoting solve of every row of X at once (Judice &
-    Pires 1994; Kim & Park 2011).
-
-    Starts from the support of X. Each round solves the KKT systems of all
-    unfinished rows on their supports, then per row drops every negative
-    support coordinate and adds every off-support coordinate whose dual is
-    violated; a row with neither is finished. A row whose count of such
-    infeasible coordinates has not fallen for 3 rounds pivots one coordinate
-    instead, the most negative one or else the most violated dual, until
-    the count falls again. Returns the solutions and a mask of failed rows
-    (support emptied, cycled while pivoting single coordinates, or out of
-    rounds), which keep their start.
+    With x(u) = proj((f - 2 B^T u) / (2 rho)), the optimum is x(u) at the
+    root of G(u) = u - B x(u), the maximizer of the concave dual
+    D(u) = rho x^T (x - 2 v) - |u|^2 with v = (f - 2 B^T u) / (2 rho), whose
+    gradient is -2 G. A row starts at u = B x0 for the x0 among its rows in
+    ``starts`` with the highest D there. Each step solves J d = -G with
+    J = I + B P_S B^T / rho, P_S the projection's Jacobian on the support S
+    of x(u), and backtracks (Armijo) until D rises enough. A row is finished
+    when a full step keeps its support: G is affine on a fixed support, so
+    that step was exact. Rows are solved in blocks of _BLOCK, which bounds
+    the memory of a step; ``sweep_hook`` sees each block's steps.
     """
-    r, m = X.shape
-    H2 = 2.0 * H
-    out = X.copy()
-    sup = X > ACTIVE_TOL  # nonempty: the rows of X lie on the simplex
-    saved = np.zeros_like(sup)
-    best = np.full(r, m + 1)  # fewest infeasible coordinates seen
-    stall = np.zeros(r, dtype=int)  # rounds since that count last fell
-    todo = np.ones(r, dtype=bool)
-    failed = np.zeros(r, dtype=bool)
-    for rnd in range(3 * m + 30):
-        p = np.flatnonzero(todo)
+    if len(F) > _BLOCK:
+        return np.vstack([_dual_newton(B, rho, F[lo:lo + _BLOCK], [s[lo:lo + _BLOCK] for s in starts],
+                                       sweep_hook) for lo in range(0, len(F), _BLOCK)])
+    k, m = B.shape
+    # b_j b_j^T / rho for every column b_j of B: one product with the
+    # support mask sums them over each row's support
+    outer = (B.T[:, :, None] * B.T[:, None, :]).reshape(m, k * k) / rho
+    tiny_step = 1e-12 * np.sqrt((B * B).sum(axis=1).max(initial=0.0))  # 1e-12 |B|_2
+
+    def dual_point(u, Fp):  # u, x(u) and D(u)
+        v = (Fp - 2.0 * (u @ B)) / (2.0 * rho)
+        x = project_rows_onto_simplex(v)
+        return u, x, rho * np.einsum("ij,ij->i", x, x - 2.0 * v) - np.einsum("ij,ij->i", u, u)
+
+    u, x, dual = dual_point(starts[0] @ B.T, F)
+    for x0 in starts[1:]:
+        alt = dual_point(x0 @ B.T, F)
+        up = alt[2] > dual
+        for a, b in zip((u, x, dual), alt):
+            a[up] = b[up]
+    out, p, Fp = np.empty_like(F), np.arange(len(F)), F
+    for _ in range(500):
+        if sweep_hook is not None:
+            sweep_hook("newton", p.size)
+        S = x > 0.0
+        Sf = S.astype(float)
+        bs = (Sf @ B.T) / np.sqrt(rho * Sf.sum(axis=1))[:, None]
+        J = (Sf @ outer).reshape(p.size, k, k)
+        J -= bs[:, :, None] * bs[:, None, :]
+        J += np.eye(k)
+        G = u - x @ B.T
+        d = -np.linalg.solve(J, G[:, :, None])[:, :, 0]
+        u_new, x_new, dual_new = dual_point(u + d, Fp)
+        # at a degenerate optimum roundoff picks the side of 0 a coordinate
+        # lands on, so a step of roundoff size (|d| <= 1e-12 |B|) that only
+        # flips coordinates at or below ACTIVE_TOL also finishes a row
+        flips = (x_new > 0.0) != S
+        done = ~flips.any(axis=1) | ((np.abs(d).max(axis=1, initial=0.0) <= tiny_step)
+                                     & ~(flips & ((x > ACTIVE_TOL) | (x_new > ACTIVE_TOL))).any(axis=1))
+        out[p[done]] = x_new[done]
+        # Armijo on the other rows: D must rise by 1e-4 t grad D . d, with
+        # grad D . d = 2 G^T J^-1 G; halvings stop at t = 2^-30
+        rise = -2e-4 * np.einsum("ij,ij->i", G, d)
+        t = np.ones(p.size)
+        short = np.flatnonzero(~done & (dual_new < dual + rise))
+        for _ in range(30):
+            if not short.size:
+                break
+            t[short] *= 0.5
+            u_new[short], x_new[short], dual_new[short] = dual_point(
+                u[short] + t[short, None] * d[short], Fp[short])
+            short = short[dual_new[short] < dual[short] + t[short] * rise[short]]
+        p, Fp, u, x, dual = (a[~done] for a in (p, Fp, u_new, x_new, dual_new))
         if not p.size:
             break
-        if sweep_hook is not None:
-            sweep_hook("active_set", p.size)
-        Fp = F[p]
-        x, lam = _support_kkt_points(H2, Fp, sup[p])
-        xpos = np.maximum(x, 0.0)
-        neg = x < -1e-12
-        grad = np.where(neg, x, xpos) @ H2 - Fp
-        nu = np.where(sup[p], np.inf, grad - lam[:, None])
-        flip = neg | (nu < -1e-10 * np.maximum(1.0, np.abs(grad).max(axis=1))[:, None])
-        ninf = flip.sum(axis=1)
-        done = ninf == 0
-        out[p[done]] = xpos[done]
-        todo[p[done]] = False
-        p, x, neg, nu, flip, ninf = (a[~done] for a in (p, x, neg, nu, flip, ninf))
-        stall[p] = np.where(ninf < best[p], 0, stall[p] + 1)
-        best[p] = np.minimum(best[p], ninf)
-        single = np.flatnonzero(stall[p] >= 3)
-        col = np.where(neg[single].any(axis=1), np.argmin(x[single], axis=1),
-                       np.argmin(nu[single], axis=1))
-        flip[single] = False
-        flip[single, col] = True
-        sup[p] ^= flip  # negatives lie on the support, violated duals off it
-        # an emptied support fails the row, and so does a support seen
-        # before while pivoting single coordinates (block rounds that do not
-        # cut the count end after 3): compare with the support saved at the
-        # end of rounds 1, 2, 4, 8, ... (Brent's cycle detection) and at the
-        # row's first single pivot
-        stop = p[~sup[p].any(axis=1) | ((stall[p] > 3) & np.all(sup[p] == saved[p], axis=1))]
-        failed[stop] = todo[stop] = False
-        p = p[todo[p]]
-        if rnd & (rnd + 1) != 0:
-            p = p[stall[p] == 3]
-        saved[p] = sup[p]
-    failed |= todo
-    return out, failed
-
-
-def _hyperplane_start(H, F, warm, warm_obj, w):
-    # per row, the simplex projection of the minimizer on the hyperplane
-    # sum x = 1, 0.5 H^-1 (f + lam 1), where it scores below the warm start;
-    # one inverse of H serves every row. A singular H keeps the warm start.
-    if not w[0] > 1e-10 * w[-1]:
-        return warm
-    hinv = np.linalg.inv(H)
-    u = hinv.sum(axis=0)  # H^-1 1
-    y = F @ hinv  # rows H^-1 f
-    eq = 0.5 * (y + ((2.0 - y.sum(axis=1)) / u.sum())[:, None] * u)
-    if not np.all(np.isfinite(eq)):
-        return warm
-    start = project_rows_onto_simplex(eq)
-    return np.where((_row_obj(H, F, start) < warm_obj)[:, None], start, warm)
-
-
-def _restarted_gradient(H, F, X, lam_max, sweep_hook):
-    # 500 sweeps of accelerated projected gradient (Beck & Teboulle
-    # 2009) with function-value restart (O'Donoghue & Candes 2015), one step
-    # size 1 / (2 lambda_max(H)) for every row, cut where a row would move
-    # farther than 2^52 (a near-zero H with a huge F): past that, float64
-    # spacing exceeds the simplex's unit scale and the projection breaks down
-    step = 1.0 / (2.0 * max(lam_max, 1e-12))
-    y, t = X.copy(), np.ones(len(X))
-    obj = _row_obj(H, F, X)
-    for _ in range(500):
-        g = 2.0 * (y @ H) - F
-        rate = np.minimum(step, 2.0**52 / np.maximum(np.abs(g).max(axis=1), 1.0))
-        nxt = project_rows_onto_simplex(y - rate[:, None] * g)
-        if sweep_hook is not None:
-            sweep_hook("gradient", len(X))
-        nobj = _row_obj(H, F, nxt)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        restart = nobj > obj
-        beta = np.where(restart, 0.0, (t - 1.0) / t_next)
-        y = nxt + beta[:, None] * (nxt - X)
-        t = np.where(restart, 1.0, t_next)
-        X, obj = nxt, nobj
-    return X
+    out[p] = x
+    return out
 
 
 def solve_simplex_qp_rows(H, F, x0, sweep_hook=None):
     """Solve min_x x H x^T - x f^T over the simplex for every row at once.
 
     All rows share the same symmetric PSD H (min z H z^T + z fbar maps to
-    f = -fbar); F stacks one f per row. Each row starts from whichever
-    scores lower: its warm start ``x0`` projected onto the simplex, or the
-    projection of its minimizer on the hyperplane sum x = 1,
-    0.5 H^-1 (f + lam 1); one inverse of H serves every row, and a singular
-    H keeps the warm start. Block principal pivoting then solves all rows
-    exactly: each round solves every unfinished row's KKT system on its
-    support (one batch per support size), and drops every negative
-    coordinate and adds every violated dual of every row at once; a row
-    whose count of such coordinates has not fallen for 3 rounds pivots one
-    at a time until it falls. Rows that empty their support, cycle, run out
-    of rounds or end over KKT_TOL (singular H_SS) are restarted from an
-    accelerated projected gradient run from their warm start, then given a
-    second pivoting pass. A warm start that scores better than the solution
-    and is itself KKT-certified is kept, which makes warm-started solves
-    monotone.
+    f = -fbar); F stacks one f per row. One eigendecomposition of H splits
+    it as B^T B + rho I, with rho = max(lambda_min, 0) and B of k rows, one
+    per eigenvalue above rho (k <= rank of H - rho I). A dual semismooth
+    Newton loop (Li, Sun & Toh 2018) over the simplex projection then
+    solves every row through its k-dimensional dual: each step solves one
+    batch of k x k systems for all unfinished rows and backtracks on the
+    concave dual, and a row is finished when a full step keeps its support
+    (at most 500 steps). Each row's dual starts from its warm start ``x0``
+    projected onto the simplex or, where the dual scores higher there, from
+    its minimizer on the hyperplane sum x = 1, 0.5 H^-1 (f + lam 1).
 
-    ``sweep_hook(kind, n_rows)``, when given, is called once per pivoting
-    round (kind "active_set") and once per gradient sweep (kind
-    "gradient") with the number of rows still being worked on.
+    A singular H (lambda_min <= 1e-10 lambda_max), or an F too large to be
+    divided by 2 rho, is solved by proximal-point steps on the same Newton
+    loop: H + mu I and f + 2 mu x_t from the warm start, until every row
+    passes KKT_TOL (at most 100 steps). mu starts at 1e-2 times the smallest
+    eigenvalue above 1e-10 lambda_max and halves after every step, so a row
+    that crawls along a flat face speeds up; it is floored at
+    max(max|F|, 1) / 2^51 so that f / (2 mu) stays far from overflow. A warm
+    start that scores better than the solution and is itself KKT-certified
+    is kept, which makes warm-started solves monotone.
+
+    ``sweep_hook(kind, n_rows)``, when given, is called once per Newton
+    step (kind "newton") of each block of up to 4096 rows, at least once
+    per call, with the number of rows of the block still being worked on.
 
     Raises ValueError on a misshapen, asymmetric or indefinite input
     (lambda_min below -1e-8 max(1, lambda_max)), and QPConvergenceError on
@@ -437,30 +386,43 @@ def solve_simplex_qp_rows(H, F, x0, sweep_hook=None):
         raise QPConvergenceError("QP data not finite: F holds inf/NaN")
     if np.abs(H - H.T).max() > 1e-10:
         raise ValueError("H must be symmetric")
-    w = np.linalg.eigvalsh(H)
+    w, vecs = np.linalg.eigh(H)
     if not np.all(np.isfinite(w)):
         raise QPConvergenceError("QP data not finite: eigenvalues of H overflow")
     # relative to the spectrum: roundoff in lambda_min grows with lambda_max
     if w[0] < -1e-8 * max(1.0, w[-1]):
         raise ValueError(f"H is not positive semi-definite (lambda_min={w[0]:.3e})")
+    rho = max(float(w[0]), 0.0)
+    top = w - rho > 1e-13 * w[-1]  # eigenvalues above rho by more than roundoff
+    B = np.sqrt(w[top] - rho)[:, None] * vecs[:, top].T  # B^T B = H - rho I
+    fmax = float(np.abs(F).max(initial=0.0))
     warm = project_rows_onto_simplex(x0)
     warm_obj = _row_obj(H, F, warm)
-    x, failed = _active_set(H, F, _hyperplane_start(H, F, warm, warm_obj, w), sweep_hook)
-    failed |= ~(kkt_residual(H, F, x) <= KKT_TOL)  # NaN fails too
-    if failed.any():
-        Ff = F[failed]
-        pg = _restarted_gradient(H, Ff, warm[failed], float(w[-1]), sweep_hook)
-        x2, _ = _active_set(H, Ff, pg, sweep_hook)
-        better = kkt_residual(H, Ff, x2) <= kkt_residual(H, Ff, pg)
-        x[failed] = np.where(better[:, None], x2, pg)
-    keep = (warm_obj < _row_obj(H, F, x)) & (kkt_residual(H, F, warm) <= KKT_TOL)
+    if w[0] > 1e-10 * w[-1] and fmax < 2.0**51 * rho:
+        # the hyperplane minimizer eq = 0.5 H^-1 (f + lam 1): 2 H eq - f is a
+        # multiple of 1, so x(B eq) = proj(eq)
+        hinv = (vecs / w) @ vecs.T
+        y, ones = F @ hinv, hinv.sum(axis=0)  # rows H^-1 f, and H^-1 1
+        eq = 0.5 * (y + ((2.0 - y.sum(axis=1)) / ones.sum())[:, None] * ones)
+        x = _dual_newton(B, rho, F, [warm, eq], sweep_hook)
+    else:
+        lifted = w[w > 1e-10 * w[-1]]
+        floor = max(fmax, 1.0) / 2.0**51
+        mu = max(1e-2 * float(lifted[0]) if lifted.size else 0.0, floor)
+        x = warm.copy()
+        todo = np.arange(len(F))
+        for _ in range(100):  # proximal-point steps
+            x[todo] = _dual_newton(B, rho + mu, F[todo] + 2.0 * mu * x[todo], [x[todo]], sweep_hook)
+            todo = todo[~(kkt_residual(H, F[todo], x[todo]) <= KKT_TOL)]  # NaN fails too
+            if not todo.size:
+                break
+            mu = max(0.5 * mu, floor)
+    better = np.flatnonzero(warm_obj < _row_obj(H, F, x))
+    keep = better[kkt_residual(H, F[better], warm[better]) <= KKT_TOL]
     x[keep] = warm[keep]
     residuals = kkt_residual(H, F, x)
     over = np.flatnonzero(~(residuals <= KKT_TOL))
     if over.size:
         i = over[0]
-        raise QPConvergenceError(
-            f"row {i}: KKT residual {residuals[i]:.3e} exceeds {KKT_TOL:g} "
-            "after the active-set and gradient passes"
-        )
+        raise QPConvergenceError(f"row {i}: KKT residual {residuals[i]:.3e} exceeds {KKT_TOL:g}")
     return x

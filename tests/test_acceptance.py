@@ -224,9 +224,9 @@ def test_criterion_08_linear_scaling():
     the median time of a fit's steady-state iterations (all but the first,
     which carries the one-off gamma escalation), the lowest of three fits
     per size run in turn 2000, 4000, 8000, 2000, ... A median does not
-    depend on how many iterations a fit runs (5 at n=2000, 19 at n=4000),
-    as a minimum does, and running the sizes in turn lets each of them meet
-    the same phases of a machine whose speed drifts."""
+    depend on how many iterations a fit runs (5, 7 and 6 at n=2000, 4000
+    and 8000), as a minimum does, and running the sizes in turn lets each
+    of them meet the same phases of a machine whose speed drifts."""
     sets = {n: synth_blobs(n=n, c=3, n_views=3, dims=[12] * 3, noise=0.1, seed=0)
             for n in (2000, 4000, 8000)}
     times = {n: np.inf for n in sets}

@@ -1,8 +1,9 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import projection_oracle, simplex_qp_oracle
 
@@ -489,8 +490,8 @@ def test_solve_polish_finishes_stiff_instance():
 
 
 def test_solve_kkt_gate_raises_on_stiff_instance(monkeypatch):
-    # the active-set answer here has a KKT residual of exactly 0.0, so only a
-    # tolerance no row can meet makes the gate fire (after the fallback)
+    # the Newton answer here has a KKT residual of about 2e-12, so only a
+    # tolerance no row can meet makes the gate fire
     monkeypatch.setattr(numerics, "KKT_TOL", -1.0)
     h, f = _stiff_instance()
     with pytest.raises(QPConvergenceError, match="row 0"):
@@ -498,23 +499,58 @@ def test_solve_kkt_gate_raises_on_stiff_instance(monkeypatch):
 
 
 def test_solve_linear_objective_reaches_vertex():
-    # H = 0 makes every KKT system of two or more coordinates singular; the
-    # pseudo-inverse answer on the full support is not optimal, so the row
-    # must be finished by the gradient fallback
+    # H = 0 is singular and leaves the dual no dimension (k = 0): the row is
+    # solved by proximal-point steps alone, x_t+1 = proj(x_t + f / (2 mu))
     f = np.array([0.3, 1.2, -0.5, 0.9])
     x = _solve_row(np.zeros((4, 4)), f, np.full(4, 0.25))
     assert np.array_equal(x, [0.0, 1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_ill_conditioned_low_rank_hessian_is_certified(seed):
+    # H = A^T A + 1e-3 I with A a 2 x 30 Gaussian times 30 (condition number
+    # above 1e7): KKT systems on large supports lose too much accuracy for
+    # KKT_TOL here, while the dual has only 2 dimensions
+    rng = np.random.default_rng(seed)
+    a = 30.0 * rng.standard_normal((2, 30))
+    h = a.T @ a + 1e-3 * np.eye(30)
+    F = 2.0 * rng.standard_normal((20, 2)) @ a + rng.standard_normal((20, 30))
+    x = solve_simplex_qp_rows(h, F, np.full((20, 30), 1 / 30))
+    assert np.all(kkt_residual(h, F, x) <= numerics.KKT_TOL)
+
+
+def test_step_dropping_a_tiny_coordinate_far_from_the_optimum_does_not_finish():
+    # one row of an update_z call in the fit of synth_blobs(n=20000, c=5,
+    # n_views=3, dims=[20] * 3, noise=0.3, seed=0) with m=100, stored as
+    # H = B^T B + rho I:
+    # the first Newton step drops a coordinate at 6.9e-10 while |G| is
+    # 1.7e-3, and finishing the row there ends at a KKT residual of 2.4e-5
+    data = np.load(Path(__file__).parent / "data" / "w2_tiny_flip_row.npz")
+    h = data["B"].T @ data["B"] + data["rho"] * np.eye(data["B"].shape[1])
+    F = data["f"][None, :]
+    x = solve_simplex_qp_rows(h, F, data["x0"][None, :])
+    assert kkt_residual(h, F, x)[0] <= numerics.KKT_TOL
+
+
 @pytest.mark.parametrize("f", [[1e300, 0.0, -1e300], [1e300, 0.0, 0.0], [3e307, 0.0, -3e307]])
 def test_solve_linear_objective_with_huge_finite_f(f):
-    # with H = 0 the full gradient step 1 / (2e-12) times a ~1e300 gradient
-    # overflows float64; the data is finite, so the call must still return
-    # the certified optimum e_0, never a ValueError
+    # with H = 0 a proximal step f / (2 mu) overflows float64 for a ~1e300 f
+    # unless mu is floored at max|f| / 2^51; the data is finite, so the call
+    # must still return the certified optimum e_0, never a ValueError
     H, F = np.zeros((3, 3)), np.array([f])
     x = solve_simplex_qp_rows(H, F, np.full((1, 3), 1 / 3))
     assert np.array_equal(x, [[1.0, 0.0, 0.0]])
     assert kkt_residual(H, F, x)[0] <= numerics.KKT_TOL
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200])
+def test_solve_tiny_definite_hessian_with_large_f(scale):
+    # H is definite, but f / (2 rho) overflows float64: the rows must go
+    # through the proximal steps, whose weight keeps f / (2 mu) finite
+    H, F = scale * np.eye(3), np.array([[1e10, 0.0, -1e10], [0.0, 1.0, 0.0]])
+    x = solve_simplex_qp_rows(H, F, np.full((2, 3), 1 / 3))
+    assert np.array_equal(x, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert np.all(kkt_residual(H, F, x) <= numerics.KKT_TOL)
 
 
 def test_batched_rows_match_single_solves():
@@ -552,7 +588,7 @@ def test_batched_rows_span_support_sizes_and_match_oracle():
             kinds = []
             out = solve_simplex_qp_rows(h, F, np.full((40, m), 1.0 / m),
                                         sweep_hook=lambda kind, n: kinds.append(kind))
-            assert set(kinds) == {"active_set"}  # no row needed the fallback
+            assert set(kinds) == {"newton"}
             best = np.array([simplex_qp_oracle(h, f) for f in F])
             if m >= 5:
                 sizes = set(np.count_nonzero(best > 1e-12, axis=1).tolist())
@@ -563,7 +599,8 @@ def test_batched_rows_span_support_sizes_and_match_oracle():
 def test_interior_optima_take_one_round_from_vertex_starts():
     # f = 2 H x* - c 1 puts every row's optimum x* inside the simplex, where
     # it is the hyperplane minimizer: the shared-H start lands on it, so one
-    # KKT round certifies every row whatever its warm start
+    # Newton step (a zero step on the full support) certifies every row
+    # whatever its warm start
     rng = np.random.default_rng(17)
     m = 6
     a = rng.standard_normal((3, m))
@@ -573,15 +610,15 @@ def test_interior_optima_take_one_round_from_vertex_starts():
     rounds = []
     out = solve_simplex_qp_rows(h, F, np.eye(m)[rng.integers(m, size=20)],
                                 sweep_hook=lambda kind, n: rounds.append(kind))
-    assert rounds == ["active_set"]
+    assert rounds == ["newton"], rounds
     assert np.abs(out - opt).max() <= 1e-10
 
 
 @pytest.mark.parametrize("seed", [63, 64, 71, 76, 84])
 def test_stalled_block_pivots_finish_by_single_pivots(seed):
-    # a low-rank A with a small ridge: exchanging every infeasible
-    # coordinate at once revisits supports on these rows, so they must be
-    # finished by single pivots, not by the gradient fallback
+    # a low-rank A with a small ridge, from a vertex start: rows on which
+    # exchanging every infeasible coordinate at once revisits supports; the
+    # Newton loop must reach the oracle optimum on them without a restart
     rng = np.random.default_rng(seed)
     m, d = int(rng.integers(4, 8)), int(rng.integers(1, 4))
     a = rng.standard_normal((d, m)) * 10.0 ** rng.uniform(0, 1.5)
@@ -591,7 +628,7 @@ def test_stalled_block_pivots_finish_by_single_pivots(seed):
     kinds = []
     x = solve_simplex_qp_rows(h, f[None, :], x0[None, :],
                               sweep_hook=lambda kind, n: kinds.append(kind))[0]
-    assert set(kinds) == {"active_set"}
+    assert set(kinds) == {"newton"}
     xs = simplex_qp_oracle(h, f)
     assert (x @ h @ x - f @ x) - (xs @ h @ xs - f @ xs) <= 1e-8
     assert kkt_residual(h, f[None, :], x[None, :])[0] <= 1e-6
@@ -602,6 +639,11 @@ def test_stalled_block_pivots_finish_by_single_pivots(seed):
        hessian=st.sampled_from(["definite", "singular"]),
        log_rho=st.floats(-3.0, 1.0),
        start=st.sampled_from(["vertex", "uniform", "random"]))
+# a row that crawls along a flat face of a rank-1 H until the proximal
+# weight shrinks, and one that needs 125 Newton steps from a vertex
+@example(seed=2488, m=6, rows=2, hessian="singular", log_rho=0.0, start="uniform")
+@example(seed=982543838, m=7, rows=6, hessian="definite", log_rho=-2.33504637098545,
+         start="random")
 def test_solve_rows_match_oracle_objective(seed, m, rows, hessian, log_rho, start):
     # H = A^T A + rho I, or a rank-deficient Gram B^T B (H = 0 for m = 1);
     # every row must reach the enumeration optimum from any warm start

@@ -349,9 +349,9 @@ def test_update_z_never_increases_objective():
             before = after
 
 
-def test_update_z_from_knn_seed_takes_few_active_set_rounds(monkeypatch):
+def test_update_z_from_knn_seed_takes_few_newton_steps(monkeypatch):
     # m=100 anchors and a 5-coordinate K-NN seed per row: optimal supports
-    # are far larger, so adding one coordinate per round would take dozens
+    # are far larger, so adding one coordinate per step would take dozens
     rounds = []
     solve = solver_mod.solve_simplex_qp_rows
 
@@ -363,7 +363,7 @@ def test_update_z_from_knn_seed_takes_few_active_set_rounds(monkeypatch):
     anchors = build_anchors(ds, 100, seed=0)
     zs = [knn_bipartite_init(ds.views[0], anchors.per_view[0], 5)]
     update_z(0, ds.views[0], anchors.per_view[0], zs, np.array([1.0]), zs[0], 1.0, 1.0)
-    assert rounds and set(rounds) == {"active_set"}
+    assert rounds and set(rounds) == {"newton"}
     assert len(rounds) <= 15, len(rounds)
 
 
