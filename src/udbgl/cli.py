@@ -1,7 +1,8 @@
 """Command line for clustering runs: ``udbgl run|grid|ablate|synth``.
 
 Exit codes: 0 success, 2 invalid config or arguments, 3 solver failure.
-``UDBGL_THREADS`` caps worker processes for grid sweeps.
+``UDBGL_THREADS`` (at least 1; default 1) caps worker processes for grid
+sweeps, which never use more workers than cells.
 """
 
 from __future__ import annotations
@@ -251,6 +252,8 @@ def cmd_grid(args):
         workers = int(os.environ.get("UDBGL_THREADS", "1") or "1")
     except ValueError as exc:
         raise ConfigError(f"UDBGL_THREADS must be an integer ({exc})") from exc
+    if workers < 1:
+        raise ConfigError(f"UDBGL_THREADS must be at least 1, got {workers}")
     raw = _load_config(args.config)
     _grid_block(raw)  # a bad grid fails before the data loads
     ds = _dataset_from_config(raw, Path(args.config).parent)
@@ -259,6 +262,8 @@ def cmd_grid(args):
     n_used = ds.n
     tasks = [(raw, cell, ds) for cell in grid_cells(raw, cfg.c)]
 
+    # a fork-started pool starts all its workers at once: never more than cells
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_grid_cell, tasks))

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 __all__ = ["ContingencyTable", "nmi", "acc", "purity"]
 
@@ -54,10 +55,16 @@ def nmi(pred, truth):
 
 def acc(pred, truth):
     """Clustering accuracy under the best one-to-one cluster-to-class map
-    (Hungarian matching on the contingency table)."""
+    (a maximum-count matching on the contingency table)."""
     table = ContingencyTable.from_labels(pred, truth)
-    rows, cols = linear_sum_assignment(-table.counts)
-    return float(table.counts[rows, cols].sum() / table.n)
+    counts = table.counts
+    if counts.shape[0] > counts.shape[1]:
+        counts = counts.T
+    # rows <= columns, so every row is matched; weights max + 1 - count are
+    # all positive (csgraph drops no zero-count edge), and a minimum-weight
+    # full matching is then a maximum-count one
+    rows, cols = min_weight_full_bipartite_matching(csr_matrix(counts.max() + 1 - counts))
+    return float(counts[rows, cols].sum() / table.n)
 
 
 def purity(pred, truth):

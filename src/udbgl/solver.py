@@ -188,10 +188,9 @@ def update_p_rows(b, q, gamma):
     return project_rows_onto_simplex(np.asarray(b, dtype=float) - 0.5 * gamma * q)
 
 
-def _surrogate(b, p, emb, gamma, c):
+def _surrogate(fit_term, emb, gamma, c):
     # ||B - P||_F^2 + gamma tr(F^T L F); the trace term is c - sum(sigma)
-    diff = b - p
-    return float((diff * diff).sum() + gamma * (c - emb.singular_values.sum()))
+    return float(fit_term + gamma * (c - emb.singular_values.sum()))
 
 
 def update_p(b, c, cfg, sweep_hook=None):
@@ -217,17 +216,20 @@ def update_p(b, c, cfg, sweep_hook=None):
     degs = degrees(b)
     emb = update_f(b, c, degs)
     p = b
+    fit_term = 0.0  # ||B - P||^2 of the accepted P (zero while P is B)
     count = count_components(b, EDGE_EPS)
     for sweep in range(cfg.p_inner_max):
         q = compute_q(emb, *degs)
-        before = _surrogate(b, p, emb, gamma, c)
+        before = _surrogate(fit_term, emb, gamma, c)
         p_new = update_p_rows(b, q, gamma)
         degs_new = degrees(p_new)
         emb_new = update_f(p_new, c, degs_new)
-        after = _surrogate(b, p_new, emb_new, gamma, c)
+        diff = b - p_new
+        fit_new = (diff * diff).sum()
+        after = _surrogate(fit_new, emb_new, gamma, c)
         accepted = after <= before
         if accepted:
-            p, degs, emb = p_new, degs_new, emb_new
+            p, degs, emb, fit_term = p_new, degs_new, emb_new, fit_new
             count = count_components(p, EDGE_EPS)
         if sweep_hook is not None:
             sweep_hook({

@@ -306,6 +306,45 @@ def test_grid_non_integer_threads_exits_2(tmp_path, capsys, monkeypatch):
     assert "error:" in err and "UDBGL_THREADS" in err and "'two'" in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_grid_threads_below_one_exit_2(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("UDBGL_THREADS", threads)
+    cfg = grid_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["grid", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "UDBGL_THREADS must be at least 1" in capsys.readouterr().err
+    assert not (out / "grid_report.json").exists()
+
+
+def test_grid_pool_never_exceeds_cell_count(tmp_path, monkeypatch):
+    import udbgl.cli as cli
+
+    sizes = []
+
+    class SerialPool:
+        # records the pool size and runs the cells in this process: no
+        # worker process ever starts
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    cfg = grid_config(tmp_path)  # 2 x 1 x 2 = 4 cells
+    for threads, expected in (("100000", [4]), ("3", [3]), ("1", [])):
+        sizes.clear()
+        monkeypatch.setenv("UDBGL_THREADS", threads)
+        assert main(["grid", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert sizes == expected
+
+
 def test_removed_qp_keys_exit_2(tmp_path, capsys):
     for key, value in (("qp_tol", 1e-8), ("qp_max_iter", 1000),
                        ("gamma_reset", False), ("delta_warm_start", True)):
@@ -460,3 +499,14 @@ def test_console_script_round_trip(tmp_path):
                     reason="udbgl console script not installed")
 def test_installed_console_script_round_trip(tmp_path):
     synth_run_round_trip(tmp_path, [shutil.which("udbgl")])
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about 17 MB and 0.2 s per process; the package
+    # uses scipy only through scipy.sparse
+    code = ("import sys, udbgl.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=source_env())
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

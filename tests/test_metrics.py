@@ -121,3 +121,43 @@ def test_acc_matches_bijection_enumeration():
     for _ in range(100):
         pred, truth = random_pair(rng)  # both sides have <= 4 clusters
         assert acc(pred, truth) == pytest.approx(acc_by_enumeration(pred, truth), abs=1e-12)
+
+
+def labels_from_counts(counts):
+    """Label vectors whose contingency table is counts (zero rows and
+    columns drop out, as they would from any labeling)."""
+    rows, cols = np.nonzero(counts)
+    reps = counts[rows, cols]
+    return np.repeat(rows, reps), np.repeat(cols, reps)
+
+
+@pytest.mark.parametrize("shape", [(6, 3), (5, 2), (2, 5), (3, 6), (4, 4)])
+def test_acc_rectangular_tables_match_enumeration(shape):
+    # more clusters than classes and fewer; half the cells empty
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(20):
+        counts = rng.integers(0, 6, size=shape) * (rng.random(shape) < 0.5)
+        if not counts.any():
+            continue
+        pred, truth = labels_from_counts(counts)
+        assert acc(pred, truth) == acc_by_enumeration(pred, truth)
+
+
+def test_acc_single_cluster_or_single_class():
+    truth = np.array([0, 1, 1, 2, 2, 2, 3])
+    # one cluster: the best map keeps only the largest class
+    assert acc(np.zeros(7, dtype=int), truth) == 3 / 7
+    # one class: only the largest cluster is matched
+    assert acc(truth, np.zeros(7, dtype=int)) == 3 / 7
+    assert acc([5], [9]) == 1.0
+
+
+@pytest.mark.parametrize("counts", [
+    [[1, 1], [1, 1]],
+    [[2, 2], [2, 0]],            # the tied row must give up column 0
+    [[3, 3, 3], [3, 3, 0]],
+    [[1, 1, 1], [1, 1, 1], [1, 1, 1], [1, 1, 1]],
+])
+def test_acc_tied_counts_match_enumeration(counts):
+    pred, truth = labels_from_counts(np.array(counts))
+    assert acc(pred, truth) == acc_by_enumeration(pred, truth)
