@@ -1,8 +1,9 @@
 """Command line for clustering runs: ``udbgl run|grid|ablate|synth``.
 
 Exit codes: 0 success, 2 invalid config or arguments, 3 solver failure.
-``UDBGL_THREADS`` (at least 1; default 1) caps worker processes for grid
-sweeps, which never use more workers than cells.
+``UDBGL_THREADS`` (at least 1; default 1) is the number of grid cells run at
+once. The main process runs cells too, so N means N - 1 worker processes, and
+a sweep never runs more cells at once than the grid has.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import sys
 import time
@@ -245,6 +247,39 @@ def _grid_cell(task):
     return row
 
 
+# a grid worker's share of the sweep, set once by the pool's initializer: the
+# shared next-cell counter and the task list
+_worker_cells = None
+
+
+def _start_worker(counter, tasks):
+    global _worker_cells
+    _worker_cells = (counter, tasks)
+
+
+def _drain(counter, tasks):
+    """Run the cells claimed from `counter` until none is left, as (index,
+    row) pairs. On any exception, KeyboardInterrupt included, the counter
+    moves past the last cell, so no process starts another one."""
+    done = []
+    try:
+        while True:
+            with counter.get_lock():
+                i = counter.value
+                counter.value = i + 1
+            if i >= len(tasks):
+                return done
+            done.append((i, _grid_cell(tasks[i])))
+    except BaseException:
+        with counter.get_lock():
+            counter.value = len(tasks)
+        raise
+
+
+def _drain_in_worker():
+    return _drain(*_worker_cells)
+
+
 def cmd_grid(args):
     if args.subsample <= 0:
         raise ConfigError(f"--subsample must be positive, got {args.subsample}")
@@ -262,11 +297,20 @@ def cmd_grid(args):
     n_used = ds.n
     tasks = [(raw, cell, ds) for cell in grid_cells(raw, cfg.c)]
 
-    # a fork-started pool starts all its workers at once: never more than cells
+    # never more cells at once than the grid has (a fork-started pool starts
+    # all its workers up front); the main process runs cells beside
+    # workers - 1 children, each process claiming the next cell from a
+    # shared counter
     workers = min(workers, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_grid_cell, tasks))
+        counter = multiprocessing.Value("l", 0)
+        with ProcessPoolExecutor(max_workers=workers - 1, initializer=_start_worker,
+                                 initargs=(counter, tasks)) as pool:
+            futures = [pool.submit(_drain_in_worker) for _ in range(workers - 1)]
+            done = _drain(counter, tasks)
+        for fut in futures:
+            done += fut.result()
+        rows = [row for _, row in sorted(done, key=lambda pair: pair[0])]
     else:
         rows = [_grid_cell(t) for t in tasks]
 

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -316,33 +317,102 @@ def test_grid_threads_below_one_exit_2(tmp_path, capsys, monkeypatch, threads):
     assert not (out / "grid_report.json").exists()
 
 
-def test_grid_pool_never_exceeds_cell_count(tmp_path, monkeypatch):
+def use_fake_executor(monkeypatch, sizes, drained, eager):
+    """Replace the grid's ProcessPoolExecutor with a pool that starts no
+    process: it runs the initializer in this process and records the pool
+    size. An eager pool runs each submitted drain at once, before the main
+    process claims a cell; a lazy one runs them when it closes, after the
+    main process has drained every cell it could. `drained` gets the cell
+    count of each drain."""
     import udbgl.cli as cli
 
-    sizes = []
+    def settle(fut, fn):
+        try:
+            pairs = fn()
+        except BaseException as exc:
+            fut.set_exception(exc)
+        else:
+            drained.append(len(pairs))
+            fut.set_result(pairs)
 
-    class SerialPool:
-        # records the pool size and runs the cells in this process: no
-        # worker process ever starts
-        def __init__(self, max_workers):
+    class FakePool:
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            initializer(*initargs)
+            self.pending = []
 
         def __enter__(self):
             return self
 
         def __exit__(self, *exc):
+            for fut, fn in self.pending:
+                settle(fut, fn)
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def submit(self, fn):
+            fut = Future()
+            if eager:
+                settle(fut, fn)
+            else:
+                self.pending.append((fut, fn))
+            return fut
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    # the initializer sets the worker state in this process: undo it after
+    monkeypatch.setattr(cli, "_worker_cells", None)
+
+
+def test_grid_pool_never_exceeds_cell_count(tmp_path, monkeypatch):
+    sizes = []
+    use_fake_executor(monkeypatch, sizes, [], eager=False)
     cfg = grid_config(tmp_path)  # 2 x 1 x 2 = 4 cells
-    for threads, expected in (("100000", [4]), ("3", [3]), ("1", [])):
+    # the main process is one of the cells run at once: min(threads, cells) - 1
+    # children, and none at all for UDBGL_THREADS=1
+    for threads, expected in (("100000", [3]), ("3", [2]), ("2", [1]), ("1", [])):
         sizes.clear()
         monkeypatch.setenv("UDBGL_THREADS", threads)
         assert main(["grid", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
         assert sizes == expected
+
+
+@pytest.mark.parametrize("eager, child_cells", [(False, [0, 0]), (True, [4, 0])])
+def test_grid_rows_do_not_depend_on_who_runs_them(tmp_path, monkeypatch, eager, child_cells):
+    # lazy: the children claim nothing and the main process runs every cell;
+    # eager: the first child runs every cell and the main process none
+    cfg = grid_config(tmp_path)
+    monkeypatch.setenv("UDBGL_THREADS", "1")
+    assert main(["grid", "--config", cfg, "--out", str(tmp_path / "serial")]) == EXIT_OK
+    drained = []
+    use_fake_executor(monkeypatch, [], drained, eager)
+    monkeypatch.setenv("UDBGL_THREADS", "3")
+    assert main(["grid", "--config", cfg, "--out", str(tmp_path / "fake")]) == EXIT_OK
+    assert drained == child_cells
+    assert ((tmp_path / "fake" / "grid_report.json").read_text()
+            == (tmp_path / "serial" / "grid_report.json").read_text())
+
+
+@pytest.mark.parametrize("eager", [False, True])
+@pytest.mark.parametrize("exc_type", [RuntimeError, KeyboardInterrupt])
+def test_grid_failure_starts_no_later_cell(tmp_path, monkeypatch, eager, exc_type):
+    # a cell that raises past _grid_cell's error rows ends the sweep: the
+    # process that saw it re-raises, and no process claims another cell
+    import udbgl.cli as cli
+
+    started = []
+
+    def failing_cell(task):
+        started.append(task[1])
+        if len(started) == 2:
+            raise exc_type("cell failed")
+        return dict(task[1])
+
+    monkeypatch.setattr(cli, "_grid_cell", failing_cell)
+    use_fake_executor(monkeypatch, [], [], eager)
+    monkeypatch.setenv("UDBGL_THREADS", "2")
+    cfg = grid_config(tmp_path)  # 4 cells
+    with pytest.raises(exc_type, match="cell failed"):
+        main(["grid", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert started == grid_cells(json.loads(Path(cfg).read_text()), 3)[:2]
 
 
 def test_removed_qp_keys_exit_2(tmp_path, capsys):
@@ -375,15 +445,15 @@ def test_grid_bad_block_exits_2_before_loading(tmp_path, capsys, monkeypatch, gr
 
 
 def test_grid_parallel_matches_serial(tmp_path, monkeypatch):
+    # 2 runs cells in the main process and one child, 3 beside two children
     cfg = grid_config(tmp_path)
-    out1, out2 = tmp_path / "serial", tmp_path / "par"
     monkeypatch.setenv("UDBGL_THREADS", "1")
-    main(["grid", "--config", cfg, "--out", str(out1)])
-    monkeypatch.setenv("UDBGL_THREADS", "2")
-    main(["grid", "--config", cfg, "--out", str(out2)])
-    r1 = json.loads((out1 / "grid_report.json").read_text())
-    r2 = json.loads((out2 / "grid_report.json").read_text())
-    assert r1 == r2
+    main(["grid", "--config", cfg, "--out", str(tmp_path / "serial")])
+    serial = json.loads((tmp_path / "serial" / "grid_report.json").read_text())
+    for threads in ("2", "3"):
+        monkeypatch.setenv("UDBGL_THREADS", threads)
+        main(["grid", "--config", cfg, "--out", str(tmp_path / threads)])
+        assert json.loads((tmp_path / threads / "grid_report.json").read_text()) == serial
 
 
 def test_grid_loads_the_dataset_once(tmp_path, monkeypatch):
