@@ -122,7 +122,8 @@ def _write_run_outputs(out_dir, labels, state, cfg, raw, ds, variant, extra_timi
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     labels_path = out_dir / "labels.csv"
-    np.savetxt(labels_path, labels, fmt="%d")
+    # the bytes np.savetxt(fmt="%d") writes, formatted in one pass
+    labels_path.write_text(("%d\n" * len(labels)) % tuple(labels.tolist()), encoding="latin1")
     timings = dict(state.timings)
     timings.update(extra_timings)
     report = {

@@ -9,6 +9,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from .numerics import _row_blocks
+
 __all__ = [
     "EDGE_EPS",
     "DEGREE_FLOOR",
@@ -98,7 +100,9 @@ def _components(w, eps):
     # rows list their anchors in column order, anchor rows are empty.
     n, m = w.shape
     edges = w > eps
-    indices = np.flatnonzero(edges) % m + n
+    indices = np.flatnonzero(edges)
+    indices %= m
+    indices += n
     indptr = np.zeros(n + m + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(edges, axis=1), out=indptr[1 : n + 1])
     indptr[n + 1 :] = indptr[n]
@@ -137,11 +141,18 @@ def knn_bipartite_init(x, a, k):
     m = a.shape[1]
     if not 1 <= k <= m:
         raise ValueError(f"K={k} must be in [1, m={m}]")
-    d2 = (x * x).sum(axis=0)[:, None] + (a * a).sum(axis=0)[None, :] - 2.0 * (x.T @ a)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    w = np.zeros_like(d2)
-    np.put_along_axis(w, order, 1.0 / k, axis=1)
-    return ViewBipartiteGraph(w)
+    # d2 = xx + aa - 2 x^T a, bit for bit, in the one (n, m) array that
+    # then becomes the graph: x - y rounds as x + (-y)
+    d2 = x.T @ a
+    d2 *= -2.0
+    xx, aa = (x * x).sum(axis=0), (a * a).sum(axis=0)
+    order = np.empty((len(d2), k), dtype=np.intp)
+    for s in _row_blocks(len(d2)):
+        d2[s] += xx[s, None] + aa
+        order[s] = np.argsort(d2[s], axis=1, kind="stable")[:, :k]
+    d2.fill(0.0)
+    np.put_along_axis(d2, order, 1.0 / k, axis=1)
+    return ViewBipartiteGraph(d2)
 
 
 def extract_labels(graph, eps=EDGE_EPS, expected_components=None):

@@ -1,7 +1,18 @@
 """Numerical kernels shared across the package: Euclidean simplex
 projection, seeded k-means, a Gram-route truncated SVD, and an exact
 batched dual semismooth Newton solver for simplex-constrained quadratic
-programs (proximal-point steps on the same loop when H is singular)."""
+programs (proximal-point steps on the same loop when H is singular).
+
+Memory: no function modifies an array it is given (except an ``out``
+buffer). Each (rows, m) pass writes into an array the function owns, and
+row-wise work that needs temporaries runs in blocks of ``_BLOCK`` (4096)
+rows, so a call holds a fixed number of full-size arrays whatever the row
+count: the projection one (its output), k-means the sample-to-center
+distances, a QP solve its output and, while it scores the warm start at the
+end, two more. Matrix products always span every row at once, because BLAS
+rounds a row differently depending on how many rows it is given; every
+output is the same bit for bit as with a fresh array per pass.
+"""
 
 from __future__ import annotations
 
@@ -16,11 +27,18 @@ __all__ = [
     "kkt_residual",
 ]
 
+_BLOCK = 4096  # rows per block of row-wise work, and per Newton loop
+
+
+def _row_blocks(n):
+    """Slices of at most _BLOCK consecutive rows that cover range(n)."""
+    return (slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK))
+
 
 # ---------------------------------------------------------------------------
 # simplex projection
 
-def project_rows_onto_simplex(mat):
+def project_rows_onto_simplex(mat, out=None):
     """Project every row of ``mat`` onto the probability simplex.
 
     Sort-and-threshold closed form: with u the row sorted descending and
@@ -30,35 +48,55 @@ def project_rows_onto_simplex(mat):
     entry, which leaves its projection unchanged but keeps the 1 from being
     lost to rounding (above 2^53 it is lost entirely); other rows are
     computed as they are.
+
+    Rows are projected in blocks of _BLOCK into ``out`` (a new array when
+    None; it may be ``mat`` itself), so the sort and threshold temporaries
+    never exceed one block.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[1] == 0:
         raise ValueError("expected a nonempty 2-d array")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("non-finite input")
-    n, m = mat.shape
-    u = np.sort(mat, axis=1)[:, ::-1]
-    shift = np.where(np.abs(u[:, 0]) > 1.0, u[:, 0], 0.0)
-    if shift.any():
+    if out is None:
+        out = np.empty_like(mat)
+    k = np.arange(1, mat.shape[1] + 1)
+    for s in _row_blocks(len(mat)):
+        v = mat[s]
+        if not np.all(np.isfinite(v)):
+            raise ValueError("non-finite input")
+        u = np.sort(v, axis=1)[:, ::-1]
+        shift = np.where(np.abs(u[:, 0]) > 1.0, u[:, 0], 0.0)
         # rounding x - s is monotone, so u stays sorted; x - 0.0 keeps every bit
-        u = u - shift[:, None]
-        mat = mat - shift[:, None]
-    css = np.cumsum(u, axis=1)
-    k = np.arange(1, m + 1)
-    # the condition holds for a prefix of k; its length is rho >= 1
-    rho = np.count_nonzero(u + (1.0 - css) / k > 0.0, axis=1)
-    theta = (css[np.arange(n), rho - 1] - 1.0) / rho
-    return np.maximum(mat - theta[:, None], 0.0)
+        u -= shift[:, None]
+        css = np.cumsum(u, axis=1)
+        # the condition u + (1 - css) / k > 0 holds for a prefix of k; its
+        # length is rho >= 1
+        t = np.subtract(1.0, css)
+        t /= k
+        t += u
+        rho = np.count_nonzero(t > 0.0, axis=1)
+        theta = (css[np.arange(len(css)), rho - 1] - 1.0) / rho
+        # (v - shift) - theta, formed in the output: v is read before its
+        # row is written, so ``out`` may be ``mat``
+        o = np.subtract(v, shift[:, None], out=out[s])
+        o -= theta[:, None]
+        np.maximum(o, 0.0, out=o)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # k-means
 
-def _sqdist(a, b, aa):
+def _sqdist(a, b, aa, out=None):
     # squared Euclidean distances between rows of a and rows of b, with
-    # aa = (a * a).sum(axis=1) computed once by the caller
-    d2 = aa[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(d2, 0.0)
+    # aa = (a * a).sum(axis=1) computed once by the caller, written into one
+    # array (``out`` when given). Bit for bit max(aa + bb - 2 a b^T, 0):
+    # x - y rounds as x + (-y), and -2 p as -(2 p)
+    d2 = np.matmul(a, b.T, out=out)
+    d2 *= -2.0
+    bb = (b * b).sum(axis=1)
+    for s in _row_blocks(len(d2)):
+        d2[s] += aa[s, None] + bb
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _kmeanspp(x, xx, k, rng):
@@ -108,9 +146,9 @@ def _fill_empty(x, xx, centers, assign, d2, counts):
 
 def _lloyd(x, xx, k, rng, max_iter):
     centers = _kmeanspp(x, xx, k, rng)
-    assign = None
+    assign = d2 = None
     for _ in range(max_iter):
-        d2 = _sqdist(x, centers, xx)
+        d2 = _sqdist(x, centers, xx, out=d2)
         new_assign = np.argmin(d2, axis=1)
         counts = np.bincount(new_assign, minlength=k)
         if not counts.all():
@@ -123,6 +161,12 @@ def _lloyd(x, xx, k, rng, max_iter):
         for f in range(x.shape[1]):
             centers[:, f] = np.bincount(assign, weights=x[:, f], minlength=k) / counts
     return centers, assign
+
+
+def _sum_sq_diff(x, r):
+    # ((x - r) ** 2).sum() bit for bit, formed in r, which the caller hands
+    # over: one array, released on return, and one pass of the sum over it
+    return float(np.square(np.subtract(x, r, out=r), out=r).sum())
 
 
 def kmeans(points, k, seed=0, max_iter=100, n_init=10):
@@ -168,7 +212,7 @@ def kmeans(points, k, seed=0, max_iter=100, n_init=10):
     best = None
     for _ in range(n_init):
         centers, assign = _lloyd(x, xx, k, rng, max_iter)
-        sse = float(((x - centers[assign]) ** 2).sum())
+        sse = _sum_sq_diff(x, centers[assign])
         if best is None or sse < best[0]:
             best = (sse, centers, assign)
     _, centers, assign = best
@@ -242,7 +286,6 @@ def truncated_svd(mat, c):
 
 KKT_TOL = 1e-6  # a row is certified at a KKT residual of at most this
 ACTIVE_TOL = 1e-9  # coordinates above this form a row's support
-_BLOCK = 4096  # rows per Newton loop
 
 
 class QPConvergenceError(RuntimeError):
@@ -256,64 +299,91 @@ def _row_obj(H, F, X):
 def kkt_residual(H, F, X):
     """Max KKT violation of each row of X for its simplex QP (H, F[i]): with
     g = 2 H x - f and lambda its mean over the support, stationarity on the
-    support, dual feasibility off it, and primal feasibility."""
-    g = 2.0 * (X @ H) - F
-    sup = X > ACTIVE_TOL
-    lam = (g * sup).sum(axis=1) / np.maximum(sup.sum(axis=1), 1)
-    r = np.where(sup, np.abs(g - lam[:, None]), 0.0).max(axis=1)
-    r = np.maximum(r, np.where(sup, 0.0, np.maximum(lam[:, None] - g, 0.0)).max(axis=1))
-    r = np.maximum(r, np.abs(X.sum(axis=1) - 1.0))
-    return np.maximum(r, np.maximum(-X, 0.0).max(axis=1))
+    support, dual feasibility off it, and primal feasibility. g is one
+    array; the per-row checks run in blocks of _BLOCK rows."""
+    g = X @ H
+    g *= 2.0
+    g -= F
+    r = np.empty(len(g))
+    for s in _row_blocks(len(g)):
+        gs, xs = g[s], X[s]
+        sup = xs > ACTIVE_TOL
+        lam = (gs * sup).sum(axis=1) / np.maximum(sup.sum(axis=1), 1)
+        rs = np.where(sup, np.abs(gs - lam[:, None]), 0.0).max(axis=1)
+        rs = np.maximum(rs, np.where(sup, 0.0, np.maximum(lam[:, None] - gs, 0.0)).max(axis=1))
+        rs = np.maximum(rs, np.abs(xs.sum(axis=1) - 1.0))
+        r[s] = np.maximum(rs, np.maximum(-xs, 0.0).max(axis=1))
+    return r
 
 
-def _dual_newton(B, rho, F, starts, sweep_hook):
+def _newton_direction(S, B, outer, rho, G):
+    # d = -J^-1 G with J = I + B P_S B^T / rho, where
+    # B P_S B^T = sum_{j in S} b_j b_j^T - (B s)(B s)^T / |S|; the outer
+    # product is subtracted one row of each k x k matrix at a time, so the
+    # (rows, k, k) batch is the only array of its size
+    k = len(B)
+    Sf = S.astype(float)
+    bs = (Sf @ B.T) / np.sqrt(rho * Sf.sum(axis=1))[:, None]
+    J = (Sf @ outer).reshape(len(S), k, k)
+    del Sf  # (rows, m): not needed beside J
+    for i in range(k):
+        J[:, i] -= bs[:, i, None] * bs
+    J += np.eye(k)
+    return -np.linalg.solve(J, G[:, :, None])[:, :, 0]
+
+
+def _best_start(points):
+    # per row, the (u, x(u), D(u)) of the point with the highest D (the
+    # first on ties), written over the first point's arrays
+    u, x, dual = points[0]
+    for alt in points[1:]:
+        up = alt[2] > dual
+        for a, b in zip((u, x, dual), alt):
+            a[up] = b[up]
+    return u, x, dual
+
+
+def _dual_newton(B, rho, F, starts, out, sweep_hook):
     """Dual semismooth Newton solve (Li, Sun & Toh 2018) of
     min_x x^T (B^T B + rho I) x - x^T f over the simplex, rho > 0, for every
-    row f of F at once.
+    row f of F at once, written into ``out``; F holds one block of at most
+    _BLOCK rows, which bounds the memory of a step.
 
     With x(u) = proj((f - 2 B^T u) / (2 rho)), the optimum is x(u) at the
     root of G(u) = u - B x(u), the maximizer of the concave dual
     D(u) = rho x^T (x - 2 v) - |u|^2 with v = (f - 2 B^T u) / (2 rho), whose
-    gradient is -2 G. A row starts at u = B x0 for the x0 among its rows in
-    ``starts`` with the highest D there. Each step solves J d = -G with
+    gradient is -2 G. ``starts`` holds (rows, k) arrays u0 = B x0, one per
+    start, which the solve may overwrite; a row starts at the u0 with the
+    highest D there. Each step solves J d = -G with
     J = I + B P_S B^T / rho, P_S the projection's Jacobian on the support S
     of x(u), and backtracks (Armijo) until D rises enough. A row is finished
     when a full step keeps its support: G is affine on a fixed support, so
-    that step was exact. Rows are solved in blocks of _BLOCK, which bounds
-    the memory of a step; ``sweep_hook`` sees each block's steps.
+    that step was exact. ``sweep_hook`` sees every step.
     """
-    if len(F) > _BLOCK:
-        return np.vstack([_dual_newton(B, rho, F[lo:lo + _BLOCK], [s[lo:lo + _BLOCK] for s in starts],
-                                       sweep_hook) for lo in range(0, len(F), _BLOCK)])
     k, m = B.shape
     # b_j b_j^T / rho for every column b_j of B: one product with the
     # support mask sums them over each row's support
     outer = (B.T[:, :, None] * B.T[:, None, :]).reshape(m, k * k) / rho
     tiny_step = 1e-12 * np.sqrt((B * B).sum(axis=1).max(initial=0.0))  # 1e-12 |B|_2
 
-    def dual_point(u, Fp):  # u, x(u) and D(u)
-        v = (Fp - 2.0 * (u @ B)) / (2.0 * rho)
+    def dual_point(u, Fp):  # u, x(u) and D(u), from one (rows, m) array v
+        v = u @ B
+        v *= -2.0
+        v += Fp
+        v /= 2.0 * rho
         x = project_rows_onto_simplex(v)
-        return u, x, rho * np.einsum("ij,ij->i", x, x - 2.0 * v) - np.einsum("ij,ij->i", u, u)
+        v *= -2.0
+        v += x
+        return u, x, rho * np.einsum("ij,ij->i", x, v) - np.einsum("ij,ij->i", u, u)
 
-    u, x, dual = dual_point(starts[0] @ B.T, F)
-    for x0 in starts[1:]:
-        alt = dual_point(x0 @ B.T, F)
-        up = alt[2] > dual
-        for a, b in zip((u, x, dual), alt):
-            a[up] = b[up]
-    out, p, Fp = np.empty_like(F), np.arange(len(F)), F
+    u, x, dual = _best_start([dual_point(u0, F) for u0 in starts])
+    p, Fp = np.arange(len(F)), F
     for _ in range(500):
         if sweep_hook is not None:
             sweep_hook("newton", p.size)
         S = x > 0.0
-        Sf = S.astype(float)
-        bs = (Sf @ B.T) / np.sqrt(rho * Sf.sum(axis=1))[:, None]
-        J = (Sf @ outer).reshape(p.size, k, k)
-        J -= bs[:, :, None] * bs[:, None, :]
-        J += np.eye(k)
         G = u - x @ B.T
-        d = -np.linalg.solve(J, G[:, :, None])[:, :, 0]
+        d = _newton_direction(S, B, outer, rho, G)
         u_new, x_new, dual_new = dual_point(u + d, Fp)
         # at a degenerate optimum roundoff picks the side of 0 a coordinate
         # lands on, so a step of roundoff size (|d| <= 1e-12 |B|) that only
@@ -335,10 +405,20 @@ def _dual_newton(B, rho, F, starts, sweep_hook):
                 u[short] + t[short, None] * d[short], Fp[short])
             short = short[dual_new[short] < dual[short] + t[short] * rise[short]]
         p, Fp, u, x, dual = (a[~done] for a in (p, Fp, u_new, x_new, dual_new))
+        del u_new, x_new, dual_new  # the next step's arrays take their place
         if not p.size:
             break
     out[p] = x
-    return out
+
+
+def _keep_certified_warm(H, F, x, x0):
+    # rows of x whose warm start scores better and is itself KKT-certified
+    # take the warm start; the projection is redone here rather than kept
+    # through the solve, and dropped on return
+    warm = project_rows_onto_simplex(x0)
+    better = np.flatnonzero(_row_obj(H, F, warm) < _row_obj(H, F, x))
+    keep = better[kkt_residual(H, F[better], warm[better]) <= KKT_TOL]
+    x[keep] = warm[keep]
 
 
 def solve_simplex_qp_rows(H, F, x0, sweep_hook=None):
@@ -366,9 +446,14 @@ def solve_simplex_qp_rows(H, F, x0, sweep_hook=None):
     start that scores better than the solution and is itself KKT-certified
     is kept, which makes warm-started solves monotone.
 
+    Rows are solved in blocks of 4096. Beside F, x0 and the returned array
+    a call holds at most two more (rows, m) arrays, and those only while it
+    scores the warm start at the end: the rows H^-1 f are formed in the
+    output, and each block's solution overwrites its own rows.
+
     ``sweep_hook(kind, n_rows)``, when given, is called once per Newton
-    step (kind "newton") of each block of up to 4096 rows, at least once
-    per call, with the number of rows of the block still being worked on.
+    step (kind "newton") of each block of up to 4096 rows, with the number
+    of rows of the block still being worked on.
 
     Raises ValueError on a misshapen, asymmetric or indefinite input
     (lambda_min below -1e-8 max(1, lambda_max)), and QPConvergenceError on
@@ -382,7 +467,9 @@ def solve_simplex_qp_rows(H, F, x0, sweep_hook=None):
         raise ValueError(f"F and x0 must be (rows, {H.shape[0]}) to match H")
     if not np.abs(H).max() <= 0.5 * np.finfo(float).max:  # 2H finite; NaN fails too
         raise QPConvergenceError("QP data not finite: 2H overflows or H holds inf/NaN")
-    if not np.all(np.isfinite(F)):
+    # max|F| without an |F| array; NaN and +-inf leave it non-finite
+    fmax = float(np.maximum(F.max(initial=0.0), -F.min(initial=0.0)))
+    if not np.isfinite(fmax):
         raise QPConvergenceError("QP data not finite: F holds inf/NaN")
     if np.abs(H - H.T).max() > 1e-10:
         raise ValueError("H must be symmetric")
@@ -395,31 +482,34 @@ def solve_simplex_qp_rows(H, F, x0, sweep_hook=None):
     rho = max(float(w[0]), 0.0)
     top = w - rho > 1e-13 * w[-1]  # eigenvalues above rho by more than roundoff
     B = np.sqrt(w[top] - rho)[:, None] * vecs[:, top].T  # B^T B = H - rho I
-    fmax = float(np.abs(F).max(initial=0.0))
-    warm = project_rows_onto_simplex(x0)
-    warm_obj = _row_obj(H, F, warm)
     if w[0] > 1e-10 * w[-1] and fmax < 2.0**51 * rho:
         # the hyperplane minimizer eq = 0.5 H^-1 (f + lam 1): 2 H eq - f is a
         # multiple of 1, so x(B eq) = proj(eq)
         hinv = (vecs / w) @ vecs.T
-        y, ones = F @ hinv, hinv.sum(axis=0)  # rows H^-1 f, and H^-1 1
-        eq = 0.5 * (y + ((2.0 - y.sum(axis=1)) / ones.sum())[:, None] * ones)
-        x = _dual_newton(B, rho, F, [warm, eq], sweep_hook)
+        ones = hinv.sum(axis=0)  # H^-1 1
+        x = np.matmul(F, hinv, out=np.empty_like(F))  # rows H^-1 f
+        for s in _row_blocks(len(F)):
+            y = x[s]
+            starts = [project_rows_onto_simplex(x0[s]) @ B.T,
+                      0.5 * (y + ((2.0 - y.sum(axis=1)) / ones.sum())[:, None] * ones) @ B.T]
+            _dual_newton(B, rho, F[s], starts, y, sweep_hook)
     else:
         lifted = w[w > 1e-10 * w[-1]]
         floor = max(fmax, 1.0) / 2.0**51
         mu = max(1e-2 * float(lifted[0]) if lifted.size else 0.0, floor)
-        x = warm.copy()
+        x = project_rows_onto_simplex(x0)
         todo = np.arange(len(F))
         for _ in range(100):  # proximal-point steps
-            x[todo] = _dual_newton(B, rho + mu, F[todo] + 2.0 * mu * x[todo], [x[todo]], sweep_hook)
+            for s in _row_blocks(len(todo)):
+                rows = todo[s]
+                xr = x[rows]
+                _dual_newton(B, rho + mu, F[rows] + 2.0 * mu * xr, [xr @ B.T], xr, sweep_hook)
+                x[rows] = xr
             todo = todo[~(kkt_residual(H, F[todo], x[todo]) <= KKT_TOL)]  # NaN fails too
             if not todo.size:
                 break
             mu = max(0.5 * mu, floor)
-    better = np.flatnonzero(warm_obj < _row_obj(H, F, x))
-    keep = better[kkt_residual(H, F[better], warm[better]) <= KKT_TOL]
-    x[keep] = warm[keep]
+    _keep_certified_warm(H, F, x, x0)
     residuals = kkt_residual(H, F, x)
     over = np.flatnonzero(~(residuals <= KKT_TOL))
     if over.size:

@@ -6,6 +6,14 @@ penalty), the per-view graphs Z (row-wise simplex QPs against the anchors
 and the consensus), and the view weights delta (a simplex QP on the view
 Gram matrix). Cluster labels fall directly out of P's components, so no
 k-means postprocessing is involved.
+
+Memory: no block modifies an (n, m) graph it is given. Each elementwise
+pass writes into an array the block owns and a sum of scaled graphs is
+formed 32 KB at a time, so beside the state a block holds a fixed number of
+(n, m) arrays of its own: update_p three (q with the candidate P formed
+over it, the accepted P, and the degree-scaled graph or (B - P)^2),
+update_z two (its linear term and the new graph; the QP adds two while it
+scores the warm start at the end), objective and update_delta one.
 """
 
 from __future__ import annotations
@@ -32,6 +40,9 @@ from .graphs import (
 )
 from .numerics import (
     QPConvergenceError,
+    _BLOCK,
+    _sqdist,
+    _sum_sq_diff,
     project_rows_onto_simplex,
     solve_simplex_qp_rows,
     truncated_svd,
@@ -145,12 +156,20 @@ class FitContext:
     cfg: SolverConfig
 
 
+def _add_scaled(out, d, w):
+    # out += d * w, with the product formed about _BLOCK entries (32 KB) at
+    # a time, so a sum of scaled graphs holds one (n, m) array and no more
+    rows = max(1, _BLOCK // out.shape[1])
+    for lo in range(0, len(out), rows):
+        out[lo:lo + rows] += d * w[lo:lo + rows]
+
+
 def blend(zs, delta):
     """Consensus seed B = sum_v delta_v Z_v (convex, stays row-stochastic)."""
     mats = [_weights(z) for z in zs]
     out = np.zeros_like(mats[0])
     for d, w in zip(delta, mats):
-        out += d * w
+        _add_scaled(out, d, w)
     return out
 
 
@@ -166,26 +185,36 @@ def update_f(p, c, degs=None):
     """
     w = _weights(p)
     d_n, d_m = degrees(w) if degs is None else degs
-    mat = w / np.sqrt(d_n)[:, None] / np.sqrt(d_m)[None, :]
+    mat = w / np.sqrt(d_n)[:, None]
+    mat /= np.sqrt(d_m)[None, :]
     u, sigma, v = truncated_svd(mat, c)
     half = np.sqrt(2.0) / 2.0
     return SpectralEmbedding(half * u, half * v, sigma)
 
 
-def compute_q(emb, d_n, d_m):
+def compute_q(emb, d_n, d_m, out=None):
     """Pairwise embedding distances q_ij = ||f_n(i)/sqrt(d_n_i) -
     f_m(j)/sqrt(d_m_j)||^2; contracting q with P reproduces the Laplacian
-    trace term when the degrees belong to the same P."""
+    trace term when the degrees belong to the same P. Written into ``out``
+    when given."""
     a = emb.f_n / np.sqrt(d_n)[:, None]
     b = emb.f_m / np.sqrt(d_m)[:, None]
-    q = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(q, 0.0)
+    return _sqdist(a, b, (a * a).sum(axis=1), out=out)
 
 
-def update_p_rows(b, q, gamma):
+def update_p_rows(b, q, gamma, out=None):
     """Row-wise closed form of the P subproblem at fixed q:
-    p_i = simplex projection of b_i - (gamma/2) q_i."""
-    return project_rows_onto_simplex(np.asarray(b, dtype=float) - 0.5 * gamma * q)
+    p_i = simplex projection of b_i - (gamma/2) q_i, formed and projected
+    in one array (``out`` when given; it may be q, not b)."""
+    v = np.multiply(q, -0.5 * gamma, out=out)  # b + (-(g/2) q) rounds as b - (g/2) q
+    v += b
+    return project_rows_onto_simplex(v, out=v)
+
+
+def _fit_term(b, p):
+    # ||B - P||_F^2 in one (n, m) array, released on return
+    diff = b - p
+    return np.square(diff, out=diff).sum()
 
 
 def _surrogate(fit_term, emb, gamma, c):
@@ -218,19 +247,24 @@ def update_p(b, c, cfg, sweep_hook=None):
     p = b
     fit_term = 0.0  # ||B - P||^2 of the accepted P (zero while P is B)
     count = count_components(b, EDGE_EPS)
+    # q is formed in the array of the last rejected or replaced P, and the
+    # candidate P over q, so a sweep holds two (n, m) arrays of its own
+    spare = None
     for sweep in range(cfg.p_inner_max):
-        q = compute_q(emb, *degs)
+        q = compute_q(emb, *degs, out=spare)
         before = _surrogate(fit_term, emb, gamma, c)
-        p_new = update_p_rows(b, q, gamma)
+        p_new = update_p_rows(b, q, gamma, out=q)
         degs_new = degrees(p_new)
         emb_new = update_f(p_new, c, degs_new)
-        diff = b - p_new
-        fit_new = (diff * diff).sum()
+        fit_new = _fit_term(b, p_new)
         after = _surrogate(fit_new, emb_new, gamma, c)
         accepted = after <= before
         if accepted:
+            spare = None if p is b else p
             p, degs, emb, fit_term = p_new, degs_new, emb_new, fit_new
             count = count_components(p, EDGE_EPS)
+        else:
+            spare = p_new
         if sweep_hook is not None:
             sweep_hook({
                 "sweep": sweep,
@@ -255,6 +289,22 @@ def update_p(b, c, cfg, sweep_hook=None):
     )
 
 
+def _qp_linear_term(v, x, a, mats, pw, delta, coupling):
+    # F = -fbar with fbar = -2 X^T A + coupling (sum_{i != v} delta_i Z_i - P),
+    # in two (n, m) arrays of which F is returned; bit for bit the same as
+    # that expression: x - y rounds as x + (-y), and sums commute
+    rest = np.zeros_like(pw)
+    for i, w in enumerate(mats):
+        if i != v:
+            _add_scaled(rest, delta[i], w)
+    rest -= pw
+    rest *= coupling
+    f = x.T @ a
+    f *= -2.0
+    f += rest
+    return np.negative(f, out=f)
+
+
 def update_z(v, x, a, zs, delta, p, alpha, beta):
     """Refresh view v's bipartite graph by its n row QPs.
 
@@ -266,19 +316,14 @@ def update_z(v, x, a, zs, delta, p, alpha, beta):
     """
     pw = _weights(p)
     mats = [_weights(z) for z in zs]
-    rest = np.zeros_like(pw)
-    for i, w in enumerate(mats):
-        if i != v:
-            rest += delta[i] * w
     coupling = 2.0 * beta * delta[v]
     if not math.isfinite(coupling):  # inf * 0 would put NaN into F
         raise QPConvergenceError(f"view {v}: coupling weight 2 beta delta_v = {coupling} "
                                  f"is not finite; beta={beta:g} is too large")
     m = a.shape[1]
     h = a.T @ a + (alpha + beta * delta[v] ** 2) * np.eye(m)
-    fbar = -2.0 * (x.T @ a) + coupling * (rest - pw)
     try:
-        znew = solve_simplex_qp_rows(h, -fbar, mats[v])
+        znew = solve_simplex_qp_rows(h, _qp_linear_term(v, x, a, mats, pw, delta, coupling), mats[v])
     except QPConvergenceError as exc:
         raise QPConvergenceError(f"view {v}: {exc}") from exc
     return ViewBipartiteGraph(znew)
@@ -297,11 +342,12 @@ def update_delta(zs, p, delta_prev=None):
     mats = [_weights(z) for z in zs]
     pw = _weights(p)
     nviews = len(mats)
+    buf = np.empty_like(pw)  # every product below, each summed in one pass
     h = np.empty((nviews, nviews))
     for i in range(nviews):
         for j in range(i, nviews):
-            h[i, j] = h[j, i] = float((mats[i] * mats[j]).sum())
-    f = np.array([2.0 * float((w * pw).sum()) for w in mats])
+            h[i, j] = h[j, i] = float(np.multiply(mats[i], mats[j], out=buf).sum())
+    f = np.array([2.0 * float(np.multiply(w, pw, out=buf).sum()) for w in mats])
     delta = solve_simplex_qp_rows(h, f[None, :], np.full((1, nviews), 1.0 / nviews))[0]
     if delta_prev is not None:
         prev = np.asarray(delta_prev, dtype=float)
@@ -318,10 +364,9 @@ def objective(state, ds, anchors, cfg):
     total = 0.0
     for x, a, z in zip(ds.views, anchors.per_view, state.zs):
         w = _weights(z)
-        r = x - a @ w.T
-        total += float((r * r).sum()) + cfg.alpha * float((w * w).sum())
-    diff = blend(state.zs, state.delta) - _weights(state.p)
-    total += cfg.beta * float((diff * diff).sum())
+        total += _sum_sq_diff(x, a @ w.T) + cfg.alpha * float((w * w).sum())
+    # (P - B)^2 is (B - P)^2 bit for bit: rounding is symmetric in sign
+    total += cfg.beta * _sum_sq_diff(_weights(state.p), blend(state.zs, state.delta))
     if not math.isfinite(total):
         raise QPConvergenceError(f"objective is {total} after {state.iterations} iterations; "
                                  f"alpha={cfg.alpha:g} or beta={cfg.beta:g} is too large")

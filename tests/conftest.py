@@ -3,8 +3,12 @@ exhaustive active-set enumeration for simplex QPs and a dense-eigendecomposition
 component counter for bipartite graphs."""
 
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
+
+import udbgl
 
 
 def simplex_qp_oracle(H, f):
@@ -107,3 +111,14 @@ def random_bipartite(rng, n, m, density=0.3, block=False):
     else:
         w = np.where(rng.random((n, m)) < density, rng.random((n, m)), 0.0)
     return w
+
+
+def source_env(**extra):
+    """Environment whose import path resolves ``udbgl`` to the tested
+    source, with ``extra`` variables set on top."""
+    env = dict(os.environ)
+    src = str(Path(udbgl.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    env.update(extra)
+    return env

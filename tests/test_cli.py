@@ -1,5 +1,4 @@
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -8,9 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import eigen_component_count
+from conftest import eigen_component_count, source_env
 
-import udbgl
 from udbgl.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -74,6 +72,22 @@ def test_run_without_labels_omits_metrics(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert read_report(out)["metrics"] is None
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 2, 1, 0], [12, 3, 105, 0, 7, 99999], [4]])
+def test_labels_csv_has_the_bytes_savetxt_writes(tmp_path, labels):
+    import types
+
+    from udbgl.cli import _write_run_outputs
+    from udbgl.solver import SolverConfig
+
+    labels = np.array(labels)
+    state = types.SimpleNamespace(timings={}, objective_trace=[1.0], iterations=0, gamma=1.0,
+                                  delta=np.ones(1), p=types.SimpleNamespace(components=1))
+    ds = types.SimpleNamespace(n=len(labels), labels=None)
+    _write_run_outputs(tmp_path, labels, state, SolverConfig(c=1), {}, ds, "full", {})
+    np.savetxt(tmp_path / "reference.csv", labels, fmt="%d")
+    assert (tmp_path / "labels.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_run_deterministic_outputs(tmp_path):
@@ -530,15 +544,6 @@ def console_script_command():
     module, func = entry.split(":")
     code = f"import sys; from {module} import {func}; sys.exit({func}())"
     return [sys.executable, "-c", code]
-
-
-def source_env():
-    """Environment whose import path resolves ``udbgl`` to the tested source."""
-    env = dict(os.environ)
-    src = str(Path(udbgl.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return env
 
 
 def synth_run_round_trip(tmp_path, cmd, env=None):
