@@ -44,8 +44,9 @@ def state():
 
 
 def test_update_p_holds_at_most_four_graphs(state):
-    # q, the accepted and the candidate P, and the degree-scaled graph
-    # the SVD reads (6.2 at the parent commit)
+    # q with the candidate P formed over it, the accepted P, one scratch
+    # array (the degree-scaled graph or (B - P)^2) and the projection's
+    # block temporaries (6.2 at the parent commit)
     ds, anchors, cfg, st = state
     b = blend(st.zs, st.delta)
     assert _peak_units(update_p, b, cfg.c, cfg) <= 4.0
