@@ -9,6 +9,7 @@ a sweep never runs more cells at once than the grid has.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -32,10 +33,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-_SOLVER_KEYS = (
-    "c", "alpha", "beta", "m", "K", "outer_max_iter", "outer_tol",
-    "gamma0", "gamma_min", "gamma_max", "p_inner_max", "seed", "normalize",
-)
+_SOLVER_KEYS = ("c", "alpha", "beta", "m", "K", "outer_max_iter", "outer_tol", "seed")
 _TOP_KEYS = set(_SOLVER_KEYS) | {"manifest", "synth", "out_dir", "dump_consensus", "grid"}
 
 
@@ -43,11 +41,24 @@ class ConfigError(ValueError):
     pass
 
 
+def _finite(parse):
+    # a JSON number hook that rejects NaN, +-Infinity and numbers a double
+    # cannot hold, such as 1e400 (float() reads it as inf)
+    def hook(text):
+        if not math.isfinite(float(text)):
+            raise ValueError(f"{text} is not a finite double")
+        return parse(text)
+    return hook
+
+
 def _load_config(path):
+    # every number must be a finite double, so all that report.json echoes is
+    # strict JSON
     try:
         with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(fh, parse_constant=_finite(float), parse_float=_finite(float),
+                            parse_int=_finite(int))
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -106,18 +117,6 @@ def _metrics_block(pred, truth):
     }
 
 
-def _strict_json(value):
-    # strict JSON has no Infinity, and gamma_max may be infinite: write +-inf
-    # as the strings "Infinity" / "-Infinity"
-    if isinstance(value, dict):
-        return {k: _strict_json(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_strict_json(v) for v in value]
-    if isinstance(value, float) and math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    return value
-
-
 def _write_run_outputs(out_dir, labels, state, cfg, raw, ds, variant, extra_timings):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -127,7 +126,7 @@ def _write_run_outputs(out_dir, labels, state, cfg, raw, ds, variant, extra_timi
     timings = dict(state.timings)
     timings.update(extra_timings)
     report = {
-        "config": {**{k: raw.get(k) for k in _TOP_KEYS if k in raw}, "resolved": asdict(cfg)},
+        "config": {**raw, "resolved": asdict(cfg)},  # the file's keys, in its order
         "variant": variant,
         "labels_path": labels_path.name,
         "n": ds.n,
@@ -146,7 +145,7 @@ def _write_run_outputs(out_dir, labels, state, cfg, raw, ds, variant, extra_timi
         dump_graph_csv(state.p, out_dir / "consensus_graph.csv")
         report["consensus_path"] = "consensus_graph.csv"
     with open(out_dir / "report.json", "w") as fh:
-        json.dump(_strict_json(report), fh, indent=2, allow_nan=False)
+        json.dump(report, fh, indent=2, allow_nan=False)
     return report
 
 
@@ -301,19 +300,18 @@ def cmd_grid(args):
     # never more cells at once than the grid has (a fork-started pool starts
     # all its workers up front); the main process runs cells beside
     # workers - 1 children, each process claiming the next cell from a
-    # shared counter
+    # shared counter, and with one worker no pool is started at all
     workers = min(workers, len(tasks))
-    if workers > 1:
-        counter = multiprocessing.Value("l", 0)
-        with ProcessPoolExecutor(max_workers=workers - 1, initializer=_start_worker,
-                                 initargs=(counter, tasks)) as pool:
-            futures = [pool.submit(_drain_in_worker) for _ in range(workers - 1)]
-            done = _drain(counter, tasks)
-        for fut in futures:
-            done += fut.result()
-        rows = [row for _, row in sorted(done, key=lambda pair: pair[0])]
-    else:
-        rows = [_grid_cell(t) for t in tasks]
+    counter = multiprocessing.Value("l", 0)
+    pool = (ProcessPoolExecutor(max_workers=workers - 1, initializer=_start_worker,
+                                initargs=(counter, tasks))
+            if workers > 1 else contextlib.nullcontext())
+    with pool:
+        futures = [pool.submit(_drain_in_worker) for _ in range(workers - 1)]
+        done = _drain(counter, tasks)
+    for fut in futures:
+        done += fut.result()
+    rows = [row for _, row in sorted(done, key=lambda pair: pair[0])]
 
     scored = [r for r in rows if r.get("metrics")]
     if scored:

@@ -123,25 +123,18 @@ def write_views(ds, out_dir, delimiter=","):
     return path
 
 
-def normalize(ds, scheme="minmax"):
-    """Return a copy of ``ds`` with each feature scaled independently.
-
-    minmax maps every feature (row) of every view onto [0, 1]; zscore
-    centers to mean 0 and unit variance.  Constant features become all
-    zeros under both schemes.  minmax is idempotent.
-    """
+def normalize(ds):
+    """Return a copy of ``ds`` with every feature (row) of every view
+    min-max scaled onto [0, 1]. Constant features become all zeros, and
+    the scaling is idempotent. Each view is scaled in the one array that
+    is returned."""
     out = []
     for x in ds.views:
-        if scheme == "minmax":
-            lo = x.min(axis=1, keepdims=True)
-            span = x.max(axis=1, keepdims=True) - lo
-            y = np.where(span > 0, (x - lo) / np.where(span > 0, span, 1.0), 0.0)
-        elif scheme == "zscore":
-            mu = x.mean(axis=1, keepdims=True)
-            sd = x.std(axis=1, keepdims=True)
-            y = np.where(sd > 0, (x - mu) / np.where(sd > 0, sd, 1.0), 0.0)
-        else:
-            raise ValueError(f"unknown normalization scheme {scheme!r}")
+        lo = x.min(axis=1, keepdims=True)
+        span = x.max(axis=1, keepdims=True) - lo
+        y = np.subtract(x, lo)
+        y /= np.where(span > 0, span, 1.0)
+        y[span[:, 0] <= 0] = 0.0  # +0.0, also where a constant row mixes -0.0 and 0.0
         out.append(y)
     return MultiViewDataset(out, None if ds.labels is None else ds.labels.copy())
 

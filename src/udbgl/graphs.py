@@ -155,22 +155,17 @@ def knn_bipartite_init(x, a, k):
     return ViewBipartiteGraph(d2)
 
 
-def extract_labels(graph, eps=EDGE_EPS, expected_components=None):
+def extract_labels(graph, eps=EDGE_EPS, *, expected_components):
     """Cluster labels read directly off the consensus graph's components.
 
     Samples sharing a connected component share a label; ids follow each
-    component's smallest sample index. When ``expected_components`` is given
-    (or the graph carries a ``components`` count net of anchor-only ones),
-    a mismatch with the sample-bearing component count raises ValueError.
+    component's smallest sample index. A sample-bearing component count
+    other than ``expected_components`` raises ValueError.
     """
-    labels, n_sample, n_anchor_only = sample_component_labels(graph, eps)
-    expected = expected_components
-    if expected is None and hasattr(graph, "components") and graph.components is not None:
-        expected = graph.components - n_anchor_only
-    if expected is not None and n_sample != expected:
-        raise ValueError(
-            f"component count mismatch: {n_sample} sample-bearing components, expected {expected}"
-        )
+    labels, n_sample, _ = sample_component_labels(graph, eps)
+    if n_sample != expected_components:
+        raise ValueError(f"component count mismatch: {n_sample} sample-bearing components, "
+                         f"expected {expected_components}")
     return labels
 
 

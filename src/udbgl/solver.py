@@ -68,16 +68,24 @@ class RankTargetError(RuntimeError):
     """The gamma loop could not reach exactly c connected components."""
 
 
-def _is_real(v, allow_inf=False):
-    # not a bool, not NaN, and finite unless allow_inf
-    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and (math.isfinite(v) or (allow_inf and not math.isnan(v))))
+# the rank loop's gamma schedule: start at _GAMMA0, double or halve per
+# sweep, fail once gamma leaves [_GAMMA_MIN, _GAMMA_MAX] or after _P_SWEEPS
+_GAMMA0 = 0.1
+_GAMMA_MIN, _GAMMA_MAX = 1e-8, 1e8
+_P_SWEEPS = 60
+
+
+def _is_real(v):
+    # a finite number, not a bool
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass
 class SolverConfig:
-    """Knobs for :func:`fit`. Defaults follow the reference configuration:
-    alpha = beta = 1, m = c anchors, K = min(5, m) for the K-NN seed."""
+    """Settings of :func:`fit`. Defaults follow the reference configuration:
+    alpha = beta = 1, m = c anchors, K = min(5, m) for the K-NN seed.
+    Features are min-max scaled, and the rank loop's gamma schedule is
+    fixed (see :func:`update_p`)."""
 
     c: int
     alpha: float = 1.0
@@ -86,12 +94,7 @@ class SolverConfig:
     K: int | None = None           # K-NN init, None -> min(5, m)
     outer_max_iter: int = 50
     outer_tol: float = 1e-6
-    gamma0: float = 0.1
-    gamma_min: float = 1e-8
-    gamma_max: float = 1e8
-    p_inner_max: int = 60
     seed: int = 0
-    normalize: str = "minmax"
 
     def resolved_m(self):
         return self.c if self.m is None else self.m
@@ -100,15 +103,14 @@ class SolverConfig:
         return min(5, self.resolved_m()) if self.K is None else self.K
 
     def validate(self, n=None):
-        for name in ("c", "m", "K", "outer_max_iter", "p_inner_max", "seed"):
+        for name in ("c", "m", "K", "outer_max_iter", "seed"):
             v = getattr(self, name)
             if not (_is_int(v) or (v is None and name in ("m", "K"))):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
-        for name in ("alpha", "beta", "outer_tol", "gamma0", "gamma_min", "gamma_max"):
+        for name in ("alpha", "beta", "outer_tol"):
             v = getattr(self, name)
-            if not _is_real(v, allow_inf=name == "gamma_max"):
-                what = "a number, not NaN" if name == "gamma_max" else "a finite number"
-                raise ValueError(f"{name} must be {what}, got {v!r}")
+            if not _is_real(v):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.alpha <= 0 or self.beta <= 0:
@@ -123,14 +125,8 @@ class SolverConfig:
         k = self.resolved_k()
         if not 1 <= k <= m:
             raise ValueError(f"K={k} must lie in [1, m={m}]")
-        if self.gamma0 <= 0 or self.gamma_min <= 0 or self.gamma_max < self.gamma_min:
-            raise ValueError("gamma bounds must be positive with min <= max")
-        if not self.gamma_min <= self.gamma0 <= self.gamma_max:
-            raise ValueError("gamma0 must lie within [gamma_min, gamma_max]")
-        if self.outer_max_iter < 1 or self.p_inner_max < 1:
+        if self.outer_max_iter < 1:
             raise ValueError("iteration caps must be positive")
-        if self.normalize not in ("minmax", "zscore"):
-            raise ValueError(f"unknown normalization scheme {self.normalize!r}")
 
 
 @dataclass
@@ -222,26 +218,27 @@ def _surrogate(fit_term, emb, gamma, c):
     return float(fit_term + gamma * (c - emb.singular_values.sum()))
 
 
-def update_p(b, c, cfg, sweep_hook=None):
+def update_p(b, c, sweep_hook=None):
     """Solve the consensus subproblem: nearest row-stochastic P to B whose
     thresholded graph has exactly c connected components.
 
     Seeds degrees and the embedding from B itself, then alternates the row
     update, the degree refresh, and the embedding update while adapting
-    gamma from gamma0: doubled while the graph has too few components,
-    halved when too many, unchanged on exit. A sweep that would raise the
-    fixed-gamma surrogate ||B-P||^2 + gamma tr(F^T L F) is rejected (the
-    degree refresh voids the majorization argument during violent support
-    changes), which keeps the surrogate non-increasing at fixed gamma by
-    construction while gamma keeps adapting; the escalation still terminates
-    because a move that lands on exactly c components has trace term 0 and
-    is accepted once gamma is large enough. Errors out when gamma leaves
-    [gamma_min, gamma_max] or after p_inner_max sweeps.
+    gamma from _GAMMA0 (0.1): doubled while the graph has too few
+    components, halved when too many, unchanged on exit. A sweep that would
+    raise the fixed-gamma surrogate ||B-P||^2 + gamma tr(F^T L F) is
+    rejected (the degree refresh voids the majorization argument during
+    violent support changes), which keeps the surrogate non-increasing at
+    fixed gamma by construction while gamma keeps adapting; the escalation
+    still terminates because a move that lands on exactly c components has
+    trace term 0 and is accepted once gamma is large enough. Raises
+    RankTargetError when gamma leaves [_GAMMA_MIN, _GAMMA_MAX] = [1e-8, 1e8]
+    or after _P_SWEEPS (60) sweeps.
 
     Returns (ConsensusBipartiteGraph, SpectralEmbedding, gamma).
     """
     b = np.asarray(b, dtype=float)
-    gamma = cfg.gamma0
+    gamma = _GAMMA0
     degs = degrees(b)
     emb = update_f(b, c, degs)
     p = b
@@ -250,7 +247,7 @@ def update_p(b, c, cfg, sweep_hook=None):
     # q is formed in the array of the last rejected or replaced P, and the
     # candidate P over q, so a sweep holds two (n, m) arrays of its own
     spare = None
-    for sweep in range(cfg.p_inner_max):
+    for sweep in range(_P_SWEEPS):
         q = compute_q(emb, *degs, out=spare)
         before = _surrogate(fit_term, emb, gamma, c)
         p_new = update_p_rows(b, q, gamma, out=q)
@@ -278,13 +275,13 @@ def update_p(b, c, cfg, sweep_hook=None):
         if count == c:
             return ConsensusBipartiteGraph(p, components=count), emb, gamma
         gamma = gamma * 2.0 if count < c else gamma * 0.5
-        if not cfg.gamma_min <= gamma <= cfg.gamma_max:
+        if not _GAMMA_MIN <= gamma <= _GAMMA_MAX:
             raise RankTargetError(
-                f"gamma {gamma:.3e} left [{cfg.gamma_min:.1e}, {cfg.gamma_max:.1e}] "
+                f"gamma {gamma:.3e} left [{_GAMMA_MIN:.1e}, {_GAMMA_MAX:.1e}] "
                 f"with {count} components (target {c})"
             )
     raise RankTargetError(
-        f"no {c}-component graph within {cfg.p_inner_max} sweeps "
+        f"no {c}-component graph within {_P_SWEEPS} sweeps "
         f"(last count {count}, gamma {gamma:.3e})"
     )
 
@@ -395,7 +392,7 @@ def fit(ds, cfg, variant="full", callback=None, p_sweep_hook=None):
     timings = {}
 
     t = time.perf_counter()
-    ds_n = normalize(ds, cfg.normalize)
+    ds_n = normalize(ds)
     timings["normalize"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -419,7 +416,7 @@ def fit(ds, cfg, variant="full", callback=None, p_sweep_hook=None):
         zs=zs,
         p=ConsensusBipartiteGraph(blend(zs, delta).copy()),
         delta=delta,
-        gamma=cfg.gamma0,
+        gamma=_GAMMA0,
         timings=timings,
     )
     ctx = FitContext(ds=ds_n, anchors=anchors, cfg=cfg)
@@ -431,7 +428,7 @@ def fit(ds, cfg, variant="full", callback=None, p_sweep_hook=None):
     for it in range(1, cfg.outer_max_iter + 1):
         t_it = time.perf_counter()
         b = blend(state.zs, state.delta)
-        state.p, _, state.gamma = update_p(b, cfg.c, cfg, sweep_hook=p_sweep_hook)
+        state.p, _, state.gamma = update_p(b, cfg.c, sweep_hook=p_sweep_hook)
         if callback is not None:
             callback("update_p", state, ctx)
 

@@ -1,4 +1,6 @@
+import itertools
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -120,16 +122,13 @@ def test_run_dumps_consensus_when_asked(tmp_path):
     assert comps["anchor_only"] == comps["total"] - comps["sample_bearing"]
 
 
-def test_report_is_strict_json_with_infinite_gamma_max(tmp_path):
-    cfg = write_config(tmp_path, gamma_max=float("inf"), **SYNTH)
+def test_report_echoes_the_config_in_file_order(tmp_path):
+    # the echo follows the file, not the order of a set of key names
+    raw = {"seed": 0, "outer_tol": 1e-6, **SYNTH, "m": 6, "dump_consensus": False, "c": 3}
+    cfg = write_config(tmp_path, **raw)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
-
-    def reject(name):
-        raise ValueError(f"non-standard JSON constant {name}")
-    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
-    assert report["config"]["gamma_max"] == "Infinity"
-    assert report["config"]["resolved"]["gamma_max"] == "Infinity"
+    assert list(read_report(out)["config"]) == [*raw, "resolved"]
 
 
 def test_run_out_dir_from_config(tmp_path):
@@ -158,14 +157,30 @@ def test_run_out_dir_from_config(tmp_path):
     # solver keys of the wrong type or out of range
     *({"synth": {"n": 30, "c": 2, "views": 1}, key: value} for key, value in (
         ("c", 2.5), ("c", True), ("m", 3.5), ("m", 2.0), ("K", 1.5),
-        ("outer_max_iter", 2.5), ("p_inner_max", 1.0), ("seed", "a"), ("seed", -1),
+        ("outer_max_iter", 2.5), ("outer_max_iter", 0), ("seed", "a"), ("seed", -1),
         ("outer_tol", "x"), ("alpha", float("nan")), ("beta", float("inf")),
     )),
+    # non-finite numbers where nothing validates them; json.dumps writes NaN
+    # and -Infinity as those bare words
+    {"synth": SYNTH["synth"], "dump_consensus": float("nan")},
+    {"synth": {**SYNTH["synth"], "extra": float("nan")}},
+    {"synth": SYNTH["synth"], "grid": {"alpha": [float("-inf")]}},
+    # numbers a double cannot hold, written as JSON text
+    pytest.param('{"synth": {"n": 60, "c": 3, "views": 2}, "dump_consensus": 1e400}',
+                 id="decimal-1e400"),
+    pytest.param('{"synth": {"n": 60, "c": 3, "views": 2}, "alpha": 1%s}' % ("0" * 400),
+                 id="integer-1e400"),
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, raw):
-    cfg = write_config(tmp_path, **raw)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    if isinstance(raw, str):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(raw)
+    else:
+        cfg = write_config(tmp_path, **raw)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):
@@ -204,10 +219,21 @@ def test_unknown_variant_is_an_argparse_error(tmp_path):
 # ---------------------------------------------------------------------------
 # solver failures (exit 3)
 
+def one_point_manifest(tmp_path):
+    """A dataset that no graph splits: 30 copies of one point, unlabeled.
+    Every sample sits at the same distance from every anchor, so the
+    gamma loop escalates until gamma leaves its range."""
+    from udbgl.dataset import MultiViewDataset, write_views
+    write_views(MultiViewDataset([np.ones((2, 30))]), tmp_path / "one")
+    return "one/manifest.json"
+
+
 def test_unreachable_rank_target_exits_3(tmp_path, capsys):
-    cfg = write_config(tmp_path, gamma0=1e-8, gamma_max=1e-8, **SYNTH)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SOLVER
-    assert "solver failure:" in capsys.readouterr().err
+    cfg = write_config(tmp_path, manifest=one_point_manifest(tmp_path), c=3, m=3)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_SOLVER
+    assert "solver failure: gamma" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("command,key,value", [
@@ -429,9 +455,27 @@ def test_grid_failure_starts_no_later_cell(tmp_path, monkeypatch, eager, exc_typ
     assert started == grid_cells(json.loads(Path(cfg).read_text()), 3)[:2]
 
 
+def test_readme_lists_the_solver_keys():
+    # the bullets under "Solver keys" in README.md, each led by its keys
+    import udbgl.cli as cli
+
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("Solver keys"))
+    bullets = itertools.dropwhile(lambda line: not line.startswith("- "), lines[start:])
+    listed = []
+    for line in bullets:
+        if line.startswith("- "):
+            listed += re.findall(r"`(\w+)`", line.split(" — ")[0])
+        elif not line.startswith("  "):
+            break
+    assert listed == list(cli._SOLVER_KEYS)
+
+
 def test_removed_qp_keys_exit_2(tmp_path, capsys):
     for key, value in (("qp_tol", 1e-8), ("qp_max_iter", 1000),
-                       ("gamma_reset", False), ("delta_warm_start", True)):
+                       ("gamma_reset", False), ("delta_warm_start", True),
+                       ("gamma0", 0.1), ("gamma_min", 1e-8), ("gamma_max", 1e8),
+                       ("p_inner_max", 60), ("normalize", "minmax")):
         cfg = write_config(tmp_path, **SYNTH, **{key: value})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
@@ -516,8 +560,8 @@ def test_grid_without_labels_ranks_by_objective(tmp_path):
 
 
 def test_grid_all_cells_failing_exits_3(tmp_path, capsys):
-    cfg = write_config(tmp_path, gamma0=1e-8, gamma_max=1e-8,
-                       grid={"alpha": [1.0], "beta": [1.0], "m": [3]}, **SYNTH)
+    cfg = write_config(tmp_path, manifest=one_point_manifest(tmp_path), c=3,
+                       grid={"alpha": [1.0, 0.1], "beta": [1.0], "m": [3]})
     assert main(["grid", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SOLVER
     assert "every cell failed" in capsys.readouterr().err
 

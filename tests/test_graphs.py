@@ -199,7 +199,7 @@ def test_knn_rejects_bad_k():
 # label extraction
 
 def test_extract_labels_two_components():
-    assert np.array_equal(extract_labels(TWO_STARS), [0, 0, 1, 1])
+    assert np.array_equal(extract_labels(TWO_STARS, expected_components=2), [0, 0, 1, 1])
 
 
 def test_extract_labels_single_component_is_zeros():
@@ -214,16 +214,17 @@ def test_extract_labels_mismatch_raises():
 
 def test_extract_labels_uses_graph_component_count():
     g = ConsensusBipartiteGraph(TWO_STARS, components=2)
-    assert np.array_equal(extract_labels(g), [0, 0, 1, 1])
-    bad = ConsensusBipartiteGraph(TWO_STARS, components=3)
-    with pytest.raises(ValueError):
-        extract_labels(bad)
+    assert np.array_equal(extract_labels(g, expected_components=2), [0, 0, 1, 1])
+    with pytest.raises(ValueError, match="component count mismatch"):
+        extract_labels(g, expected_components=g.components + 1)
 
 
 def test_extract_labels_nets_out_anchor_only_components():
     w = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     g = ConsensusBipartiteGraph(w, components=3)  # 2 sample-bearing + 1 isolated anchor
-    assert np.array_equal(extract_labels(g), [0, 0, 1])
+    assert np.array_equal(extract_labels(g, expected_components=2), [0, 0, 1])
+    with pytest.raises(ValueError, match="component count mismatch"):
+        extract_labels(g, expected_components=3)
 
 
 def test_extract_labels_invariant_to_positive_row_rescaling():
@@ -233,9 +234,10 @@ def test_extract_labels_invariant_to_positive_row_rescaling():
         w = random_bipartite(rng, 12, 4, block=True)
         w = w + 1e-6  # keep rows nonzero
         w = w / w.sum(axis=1, keepdims=True)
-        base = extract_labels(w)
+        k = sample_component_labels(w)[1]
+        base = extract_labels(w, expected_components=k)
         scaled = w * rng.uniform(0.5, 2.0, size=(12, 1))
-        assert np.array_equal(extract_labels(scaled), base)
+        assert np.array_equal(extract_labels(scaled, expected_components=k), base)
 
 
 def test_dump_graph_round_trips(tmp_path):

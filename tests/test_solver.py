@@ -71,24 +71,22 @@ def test_config_resolves_defaults():
     ({"c": 3, "m": 2}, "at least c"),
     ({"c": 2, "K": 5}, "K="),
     ({"c": 2, "K": 0}, "K="),
-    ({"c": 2, "gamma0": -0.1}, "gamma"),
-    ({"c": 2, "gamma0": 1e9}, "gamma0"),
-    ({"c": 2, "gamma_min": 1.0, "gamma_max": 0.5}, "gamma"),
+    ({"c": 2, "outer_tol": float("nan")}, "outer_tol must be a finite number"),
+    ({"c": 2, "alpha": float("inf")}, "alpha must be a finite number"),
+    ({"c": 2, "outer_max_iter": 2.0}, "outer_max_iter must be an integer"),
     ({"c": 2, "outer_max_iter": 0}, "caps"),
-    ({"c": 2, "normalize": "robust"}, "normalization"),
+    ({"c": 2, "seed": 1.5}, "seed must be an integer"),
     ({"c": 2.0}, "c must be an integer"),
     ({"c": 2, "K": True}, "K must be an integer"),
     ({"c": 2, "seed": -1}, "seed must be nonnegative"),
-    ({"c": 2, "gamma0": float("inf")}, "gamma0 must be a finite number"),
-    ({"c": 2, "gamma_max": float("nan")}, "gamma_max must be a number, not NaN"),
 ])
 def test_config_validation_errors(kwargs, msg):
     with pytest.raises(ValueError, match=msg):
         SolverConfig(**kwargs).validate()
 
 
-def test_config_accepts_numpy_scalars_and_infinite_gamma_max():
-    SolverConfig(c=np.int64(2), alpha=np.float64(0.5), gamma_max=float("inf")).validate()
+def test_config_accepts_numpy_scalars():
+    SolverConfig(c=np.int64(2), alpha=np.float64(0.5)).validate()
 
 
 def test_config_checks_m_against_n():
@@ -222,14 +220,8 @@ def test_update_p_rows_matches_projection_oracle():
 # ---------------------------------------------------------------------------
 # P subproblem
 
-def _cfg(**kw):
-    base = dict(c=3)
-    base.update(kw)
-    return SolverConfig(**base)
-
-
 def test_update_p_exits_immediately_when_b_has_c_components():
-    graph, emb, gamma = update_p(TWO_STARS, 2, _cfg(c=2))
+    graph, emb, gamma = update_p(TWO_STARS, 2)
     assert graph.components == 2
     assert gamma == 0.1  # untouched on exit
     assert np.allclose(graph.weights, TWO_STARS, atol=1e-12)
@@ -239,7 +231,7 @@ def test_update_p_exits_immediately_when_b_has_c_components():
 def test_update_p_dense_b_single_component():
     rng = np.random.default_rng(8)
     b = random_row_stochastic(rng, 8, 3)
-    graph, _, _ = update_p(b, 1, _cfg(c=1))
+    graph, _, _ = update_p(b, 1)
     assert graph.components == 1
     assert np.allclose(graph.weights, b, atol=1e-9)
 
@@ -249,7 +241,7 @@ def test_update_p_splits_blob_blend_into_c_components():
     anchors = build_anchors(ds, 6, seed=0)
     zs = [knn_bipartite_init(x, a, 3) for x, a in zip(ds.views, anchors.per_view)]
     b = blend(zs, np.array([0.5, 0.5]))
-    graph, emb, gamma = update_p(b, 3, _cfg(c=3, m=6, K=3))
+    graph, emb, gamma = update_p(b, 3)
     assert count_components(graph.weights, EDGE_EPS) == 3
     assert eigen_component_count(graph.weights, EDGE_EPS) == 3
     assert graph.components == 3
@@ -263,7 +255,7 @@ def test_update_p_sweep_hook_reports_monotone_accepted_sweeps():
     zs = [knn_bipartite_init(x, a, 3) for x, a in zip(ds.views, anchors.per_view)]
     b = blend(zs, np.array([0.5, 0.5]))
     rows = []
-    update_p(b, 3, _cfg(), sweep_hook=rows.append)
+    update_p(b, 3, sweep_hook=rows.append)
     assert [r["sweep"] for r in rows] == list(range(len(rows)))
     for r in rows:
         assert set(r) >= {"sweep", "gamma", "components", "accepted",
@@ -273,17 +265,18 @@ def test_update_p_sweep_hook_reports_monotone_accepted_sweeps():
             assert r["candidate_surrogate"] > r["surrogate_before"]
 
 
-def test_update_p_gamma_bound_error():
+def test_update_p_gamma_bound_error(monkeypatch):
     b = np.full((6, 3), 1.0 / 3.0)  # one component, needs gamma escalation
-    cfg = _cfg(gamma0=0.1, gamma_max=0.2)
+    monkeypatch.setattr(solver_mod, "_GAMMA_MAX", 0.2)
     with pytest.raises(RankTargetError, match="gamma"):
-        update_p(b, 3, cfg)
+        update_p(b, 3)
 
 
-def test_update_p_sweep_budget_error():
+def test_update_p_sweep_budget_error(monkeypatch):
     b = np.full((6, 3), 1.0 / 3.0)
+    monkeypatch.setattr(solver_mod, "_P_SWEEPS", 1)
     with pytest.raises(RankTargetError, match="sweeps"):
-        update_p(b, 3, _cfg(p_inner_max=1))
+        update_p(b, 3)
 
 
 # ---------------------------------------------------------------------------
