@@ -121,7 +121,7 @@ def test_normalize_matches_the_out_of_place_expression_bit_for_bit():
     # constant row of mixed signed zeros must come out +0.0, as np.where
     # wrote it
     rng = np.random.default_rng(4)
-    for trial in range(50):
+    for _ in range(50):
         x = rng.standard_normal((6, 40)) * 10.0 ** rng.integers(-3, 4, size=(6, 1))
         x[1] = 2.5
         x[2] = np.where(rng.random(40) < 0.5, -0.0, 0.0)
