@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 __all__ = ["ContingencyTable", "nmi", "acc", "purity"]
 
@@ -53,6 +51,42 @@ def nmi(pred, truth):
     return float(min(max(mi / denom, 0.0), 1.0))
 
 
+def _max_matching_count(counts):
+    """Largest total count of a one-to-one row-to-column matching of a
+    table with rows <= columns: the Hungarian algorithm, as shortest
+    augmenting paths with potentials on the costs -counts, one row added
+    per phase. O(r^2 c) integer work, so ties and sums are exact."""
+    r, c = counts.shape
+    inf = np.iinfo(np.int64).max
+    cost = -np.asarray(counts, dtype=np.int64)
+    u = np.zeros(r, dtype=np.int64)  # row potentials
+    v = np.zeros(c + 1, dtype=np.int64)  # column potentials; column c roots each path
+    owner = np.full(c + 1, -1)  # row matched to each column
+    for i in range(r):
+        owner[c], j0 = i, c
+        dist = np.full(c + 1, inf)  # reduced length of the shortest path to each column
+        prev = np.full(c + 1, c)  # the column before each column on that path
+        done = np.zeros(c + 1, dtype=bool)
+        while owner[j0] >= 0:
+            done[j0] = True
+            dist[j0] = inf
+            i0 = owner[j0]
+            reduced = cost[i0] - u[i0] - v[:c]
+            closer = ~done[:c] & (reduced < dist[:c])
+            dist[:c][closer] = reduced[closer]
+            prev[:c][closer] = j0
+            j0 = int(np.argmin(dist))
+            step = dist[j0]
+            u[owner[done]] += step
+            v[done] -= step
+            dist[~done] -= step
+        while j0 != c:  # augment along the path back to the root
+            owner[j0] = owner[prev[j0]]
+            j0 = prev[j0]
+    matched = np.flatnonzero(owner[:c] >= 0)
+    return counts[owner[matched], matched].sum()
+
+
 def acc(pred, truth):
     """Clustering accuracy under the best one-to-one cluster-to-class map
     (a maximum-count matching on the contingency table)."""
@@ -60,11 +94,7 @@ def acc(pred, truth):
     counts = table.counts
     if counts.shape[0] > counts.shape[1]:
         counts = counts.T
-    # rows <= columns, so every row is matched; weights max + 1 - count are
-    # all positive (csgraph drops no zero-count edge), and a minimum-weight
-    # full matching is then a maximum-count one
-    rows, cols = min_weight_full_bipartite_matching(csr_matrix(counts.max() + 1 - counts))
-    return float(counts[rows, cols].sum() / table.n)
+    return float(_max_matching_count(counts) / table.n)
 
 
 def purity(pred, truth):

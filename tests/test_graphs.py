@@ -83,6 +83,39 @@ def test_edges_at_or_below_eps_are_ignored():
     assert count_components(w2, EDGE_EPS) == 1
 
 
+def anchor_path(rng, m):
+    # m anchors in shuffled order joined into one path by m - 1 samples, each
+    # on two consecutive anchors: the deepest label propagation there is
+    order = rng.permutation(m)
+    w = np.zeros((m - 1, m))
+    w[np.arange(m - 1), order[:-1]] = 0.5
+    w[np.arange(m - 1), order[1:]] = 0.5
+    return w[rng.permutation(m - 1)]
+
+
+def edge_case_graphs(rng):
+    """(name, w) pairs at the edges of the component kernel: samples without
+    an edge, anchors without one, a single anchor, entries exactly at
+    EDGE_EPS and one ulp above, a long anchor path, and a thousand anchors."""
+    lone = random_bipartite(rng, 30, 6, block=True)
+    lone[rng.random(30) < 0.3] = 0.0
+    bare = random_bipartite(rng, 30, 8, block=True)
+    bare[:, [0, 3, 7]] = 0.0
+    one = np.ones((12, 1))
+    one[[2, 5]] = 0.0
+    # two blocks bridged by entries at EDGE_EPS (no edge) or one ulp above
+    at_eps = np.zeros((6, 4))
+    at_eps[:3, :2] = at_eps[3:, 2:] = 0.5
+    at_eps[1, 3] = at_eps[4, 0] = EDGE_EPS
+    above_eps = at_eps.copy()
+    above_eps[1, 3] = np.nextafter(EDGE_EPS, 1.0)
+    wide = random_bipartite(rng, 400, 1000, density=0.002, block=True)
+    return [("lone samples", lone), ("bare anchors", bare), ("m = 1", one),
+            ("all zero", np.zeros((5, 3))), ("at EDGE_EPS", at_eps),
+            ("one ulp above EDGE_EPS", above_eps), ("anchor path", anchor_path(rng, 300)),
+            ("m = 1000", wide)]
+
+
 def test_component_count_matches_eigen_oracle():
     rng = np.random.default_rng(0)
     for trial in range(60):
@@ -90,6 +123,14 @@ def test_component_count_matches_eigen_oracle():
         m = int(rng.integers(1, 9))
         w = random_bipartite(rng, n, m, block=bool(trial % 2))
         assert count_components(w, EDGE_EPS) == eigen_component_count(w, EDGE_EPS)
+    counts = {}
+    for name, w in edge_case_graphs(rng):
+        counts[name] = count_components(w, EDGE_EPS)
+        # the oracle sees the edge set at unit weight: a bridge that weighs
+        # 1e-8 puts an eigenvalue below its tolerance
+        assert counts[name] == eigen_component_count(1.0 * (w > EDGE_EPS), 0.5), name
+    assert counts["at EDGE_EPS"] == 2 and counts["one ulp above EDGE_EPS"] == 1
+    assert counts["anchor path"] == 1 and counts["all zero"] == 8
 
 
 def test_sample_labels_follow_smallest_sample_index():
@@ -153,6 +194,11 @@ def test_sample_labels_match_bfs_oracle():
         seen += [n_sample > 1, anchor_only > 0]
     assert np.sum(seen[0::2]) >= 20 and np.sum(seen[1::2]) >= 20
     assert n_sample > 1 and anchor_only > 0  # the (3000, 30) case
+    for name, w in edge_case_graphs(rng):
+        labels, n_sample, anchor_only = sample_component_labels(w, EDGE_EPS)
+        want_labels, want_sample, want_anchor_only = bfs_sample_components(w, EDGE_EPS)
+        assert np.array_equal(labels, want_labels), name
+        assert (n_sample, anchor_only) == (want_sample, want_anchor_only), name
 
 
 # ---------------------------------------------------------------------------

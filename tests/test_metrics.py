@@ -161,3 +161,17 @@ def test_acc_single_cluster_or_single_class():
 def test_acc_tied_counts_match_enumeration(counts):
     pred, truth = labels_from_counts(np.array(counts))
     assert acc(pred, truth) == acc_by_enumeration(pred, truth)
+
+
+def test_acc_matches_enumeration_up_to_six_by_six():
+    # every shape up to 6 x 6 and its transpose, with counts drawn from a
+    # few values so that many matchings tie
+    rng = np.random.default_rng(4)
+    for r in range(1, 7):
+        for c in range(r, 7):
+            for _ in range(6):
+                counts = rng.choice([0, 0, 1, 2, 5], size=(r, c))
+                counts[rng.integers(r), rng.integers(c)] += 1  # never empty
+                for table in (counts, counts.T):
+                    pred, truth = labels_from_counts(table)
+                    assert acc(pred, truth) == acc_by_enumeration(pred, truth), table

@@ -265,6 +265,48 @@ def test_update_p_sweep_hook_reports_monotone_accepted_sweeps():
             assert r["candidate_surrogate"] > r["surrogate_before"]
 
 
+def test_update_p_counts_components_only_when_edges_change(monkeypatch):
+    # the count depends only on the edge set P > EDGE_EPS, so update_p
+    # recounts only when an accepted P's edges differ from those of the last
+    # graph it counted. Replaying each call with a count of every accepted
+    # P must give the sweep hook's counts; update_p depends on the count
+    # alone, so the gamma path, labels and objective trace are those of
+    # counting on every accepted sweep
+    ds = synth_blobs(300, 5, 3, noise=0.6, seed=2)
+    counted, seeds, candidates, rows = [], [], [], []
+    monkeypatch.setattr(solver_mod, "count_components",
+                        lambda g, eps: counted.append(1) or count_components(g, eps))
+
+    def recording_update_p(b, c, sweep_hook=None):
+        seeds.append(b.copy())
+        return update_p(b, c, sweep_hook=sweep_hook)
+
+    def recording_rows(b, q, gamma, out=None):
+        p = update_p_rows(b, q, gamma, out=out)
+        candidates.append(p.copy())
+        return p
+
+    monkeypatch.setattr(solver_mod, "update_p", recording_update_p)
+    monkeypatch.setattr(solver_mod, "update_p_rows", recording_rows)
+    cfg = SolverConfig(c=5, m=30, outer_max_iter=3)
+    labels, state = fit(ds, cfg, variant="knn_fusion_only", p_sweep_hook=rows.append)
+    assert len(candidates) == len(rows)
+    replay, calls = [], iter(seeds)
+    for row, p in zip(rows, candidates):
+        if row["sweep"] == 0:
+            count = count_components(next(calls), EDGE_EPS)
+        if row["accepted"]:
+            count = count_components(p, EDGE_EPS)
+        replay.append(count)
+    assert [r["components"] for r in rows] == replay
+    every_accepted = len(seeds) + sum(r["accepted"] for r in rows)
+    assert len(counted) < every_accepted
+    monkeypatch.undo()
+    labels_again, state_again = fit(ds, cfg, variant="knn_fusion_only")
+    assert np.array_equal(labels, labels_again)
+    assert state.objective_trace == state_again.objective_trace
+
+
 def test_update_p_gamma_bound_error(monkeypatch):
     b = np.full((6, 3), 1.0 / 3.0)  # one component, needs gamma escalation
     monkeypatch.setattr(solver_mod, "_GAMMA_MAX", 0.2)
