@@ -84,7 +84,7 @@ def test_criterion_02_constraint_suite():
 
 
 def test_criterion_03_component_count_equivalence():
-    """200 random bipartite graphs (n <= 40, m <= 8): union-find component
+    """200 random bipartite graphs (n <= 40, m <= 8): the anchor-graph component
     count equals the 0-eigenvalue multiplicity (eigen tolerance 1e-6)."""
     rng = np.random.default_rng(0)
     agree = 0
@@ -96,7 +96,7 @@ def test_criterion_03_component_count_equivalence():
         if count_components(w, EDGE_EPS) == eigen_component_count(w, EDGE_EPS, 1e-6):
             agree += 1
     assert agree == 200, f"only {agree}/200 graphs agree"
-    _report(3, "union-find == eigenvalue-0 multiplicity on 200/200 graphs")
+    _report(3, "component count == eigenvalue-0 multiplicity on 200/200 graphs")
 
 
 def test_criterion_04_qp_oracles():

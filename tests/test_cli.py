@@ -622,7 +622,7 @@ def test_installed_console_script_round_trip(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.sparse and csgraph cost about 33 MB per process, and the package
+    # scipy.sparse and csgraph cost about 25 MB per process, and the package
     # uses no scipy module; numpy.random is loaded with the package, so a
     # command's first default_rng does not load it inside the timed run
     code = ("import sys, udbgl.cli; "
@@ -649,6 +649,6 @@ def _import_peak_mb(module):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_cli_import_footprint_over_numpy():
-    # about 11 MB over numpy alone; scipy.sparse and csgraph added 33 MB more
+    # about 10 MB over numpy alone; with scipy.sparse and csgraph it was 36 MB
     extra = _import_peak_mb("udbgl.cli") - _import_peak_mb("numpy")
     assert extra < 15.0, f"import udbgl.cli peaks {extra:.1f} MB above import numpy"

@@ -273,9 +273,9 @@ def test_update_p_counts_components_only_when_edges_change(monkeypatch):
     # alone, so the gamma path, labels and objective trace are those of
     # counting on every accepted sweep
     ds = synth_blobs(300, 5, 3, noise=0.6, seed=2)
-    counted, seeds, candidates, rows = [], [], [], []
+    count_calls, seeds, candidates, rows = [], [], [], []
     monkeypatch.setattr(solver_mod, "count_components",
-                        lambda g, eps: counted.append(1) or count_components(g, eps))
+                        lambda g, eps: count_calls.append(1) or count_components(g, eps))
 
     def recording_update_p(b, c, sweep_hook=None):
         seeds.append(b.copy())
@@ -300,7 +300,8 @@ def test_update_p_counts_components_only_when_edges_change(monkeypatch):
         replay.append(count)
     assert [r["components"] for r in rows] == replay
     every_accepted = len(seeds) + sum(r["accepted"] for r in rows)
-    assert len(counted) < every_accepted
+    assert len(count_calls) < every_accepted
+    # and the recorders leave the fit as it is
     monkeypatch.undo()
     labels_again, state_again = fit(ds, cfg, variant="knn_fusion_only")
     assert np.array_equal(labels, labels_again)
