@@ -135,10 +135,9 @@ def _write_run_outputs(out_dir, labels, state, cfg, raw, ds, variant, extra_timi
         "iterations": state.iterations,
         "gamma": state.gamma,
         "delta": [float(v) for v in state.delta],
-        # fit returns only a P whose total count update_p certified and whose
-        # sample-bearing count extract_labels matched to c: no recount needed
-        "components": {"total": state.p.components, "sample_bearing": cfg.c,
-                       "anchor_only": state.p.components - cfg.c},
+        # update_p returns only a P of exactly c components, and fit raises
+        # unless all c hold samples: no recount needed
+        "components": {"total": cfg.c, "sample_bearing": cfg.c, "anchor_only": 0},
         "timings": timings,
     }
     if raw.get("dump_consensus"):
@@ -149,35 +148,21 @@ def _write_run_outputs(out_dir, labels, state, cfg, raw, ds, variant, extra_timi
     return report
 
 
-def _run_once(raw, config_dir, out_dir, variant):
+def cmd_run(args):
+    """``run`` (variant "full") and ``ablate --variant``: one fit, its
+    outputs, and a one-line summary."""
+    raw = _load_config(args.config)
     t0 = time.perf_counter()
-    ds = _dataset_from_config(raw, config_dir)
+    ds = _dataset_from_config(raw, Path(args.config).parent)
     cfg = _solver_config(raw, ds)
     load_time = time.perf_counter() - t0
-    labels, state = fit(ds, cfg, variant=variant)
-    report = _write_run_outputs(out_dir, labels, state, cfg, raw, ds, variant,
-                                {"load": load_time})
-    return report
-
-
-def cmd_run(args):
-    raw = _load_config(args.config)
-    out_dir = args.out or raw.get("out_dir", ".")
-    report = _run_once(raw, Path(args.config).parent, out_dir, "full")
+    labels, state = fit(ds, cfg, variant=args.variant)
+    report = _write_run_outputs(args.out or raw.get("out_dir", "."), labels, state, cfg, raw,
+                                ds, args.variant, {"load": load_time})
     met = report["metrics"]
     tail = "" if met is None else f"  nmi={met['nmi']:.4f} acc={met['acc']:.4f}"
-    print(f"run: {report['iterations']} iterations, "
-          f"{report['components']['sample_bearing']} clusters{tail}")
-    return EXIT_OK
-
-
-def cmd_ablate(args):
-    raw = _load_config(args.config)
-    out_dir = args.out or raw.get("out_dir", ".")
-    report = _run_once(raw, Path(args.config).parent, out_dir, args.variant)
-    met = report["metrics"]
-    tail = "" if met is None else f"  nmi={met['nmi']:.4f}"
-    print(f"ablate[{args.variant}]: {report['iterations']} iterations{tail}")
+    name = "run" if args.command == "run" else f"ablate[{args.variant}]"
+    print(f"{name}: {state.iterations} iterations, {cfg.c} clusters{tail}")
     return EXIT_OK
 
 
@@ -359,7 +344,7 @@ def _build_parser():
     p_run = sub.add_parser("run", help="cluster one dataset per a JSON config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None, help="output directory override")
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_run, variant="full")
 
     p_grid = sub.add_parser("grid", help="sweep alpha/beta/m and surface the best cell")
     p_grid.add_argument("--config", required=True)
@@ -372,7 +357,7 @@ def _build_parser():
     p_abl.add_argument("--variant", required=True, choices=VARIANTS)
     p_abl.add_argument("--config", required=True)
     p_abl.add_argument("--out", default=None)
-    p_abl.set_defaults(func=cmd_ablate)
+    p_abl.set_defaults(func=cmd_run)
 
     p_syn = sub.add_parser("synth", help="write a synthetic blob dataset")
     p_syn.add_argument("--n", type=int, required=True)

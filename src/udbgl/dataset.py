@@ -74,14 +74,25 @@ def load_views(manifest_path):
     manifest_path = Path(manifest_path)
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    if "views" not in manifest or not manifest["views"]:
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest must be a JSON object")
+    if not manifest.get("views"):
         raise ValueError("manifest lists no views")
+    views, labels = manifest["views"], manifest.get("labels")
+    delimiter, header = manifest.get("delimiter", ","), manifest.get("header", False)
+    if not (isinstance(views, list) and all(isinstance(rel, str) for rel in views)):
+        raise ValueError(f"manifest views must be a list of path strings, got {views!r}")
+    if not (labels is None or isinstance(labels, str)):
+        raise ValueError(f"manifest labels must be a path string or null, got {labels!r}")
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise ValueError(f"manifest delimiter must be one character, got {delimiter!r}")
+    if not isinstance(header, bool):
+        raise ValueError(f"manifest header must be true or false, got {header!r}")
     base = manifest_path.parent
-    delimiter = manifest.get("delimiter", ",")
-    skip = 1 if manifest.get("header", False) else 0
+    skip = 1 if header else 0
 
-    views = []
-    for rel in manifest["views"]:
+    arrays = []
+    for rel in views:
         path = base / rel
         try:
             arr = np.loadtxt(path, delimiter=delimiter, skiprows=skip, ndmin=2)
@@ -89,15 +100,14 @@ def load_views(manifest_path):
             raise ValueError(f"non-numeric cell in view file {path}: {exc}") from exc
         if arr.size == 0:
             raise ValueError(f"empty view file {path}")
-        views.append(arr.T)  # stored as d_v x n
+        arrays.append(arr.T)  # stored as d_v x n
 
-    labels = None
-    if manifest.get("labels"):
-        raw = np.loadtxt(base / manifest["labels"], ndmin=1)
+    if labels:
+        raw = np.loadtxt(base / labels, ndmin=1)
         _, labels = np.unique(raw, return_inverse=True)
-
-    ds = MultiViewDataset(views, labels)
-    return ds
+    else:
+        labels = None
+    return MultiViewDataset(arrays, labels)
 
 
 def write_views(ds, out_dir, delimiter=","):

@@ -1,5 +1,6 @@
-"""Bipartite sample-anchor graphs: containers, degrees, connected
-components, K-NN initialization, and label extraction."""
+"""Bipartite sample-anchor graphs as row-stochastic (n, m) float arrays:
+the row check, degrees, connected components, K-NN initialization, and
+label extraction."""
 
 from __future__ import annotations
 
@@ -12,9 +13,8 @@ from .numerics import _row_blocks
 __all__ = [
     "EDGE_EPS",
     "DEGREE_FLOOR",
-    "ViewBipartiteGraph",
-    "ConsensusBipartiteGraph",
     "SpectralEmbedding",
+    "check_graph",
     "degrees",
     "count_components",
     "sample_component_labels",
@@ -27,11 +27,13 @@ EDGE_EPS = 1e-8       # entries above this count as edges
 DEGREE_FLOOR = 1e-12  # guards inverse square roots of degrees
 
 
-def _weights(graph):
-    return graph.weights if hasattr(graph, "weights") else np.asarray(graph, dtype=float)
+def check_graph(w, what):
+    """Check that ``w`` is a row-stochastic (n, m) graph and return it.
 
-
-def _validate_rows(w, what):
+    Raises ValueError unless ``w`` is 2-d and finite, no entry is below
+    -1e-12 and every row sums to 1 within 1e-8; then clamps the -1e-12..0
+    rounding noise to 0 in place. ``what`` names the graph in the messages.
+    """
     if w.ndim != 2:
         raise ValueError(f"{what} must be 2-d")
     if not np.all(np.isfinite(w)):
@@ -41,32 +43,8 @@ def _validate_rows(w, what):
     dev = np.abs(w.sum(axis=1) - 1.0).max()
     if dev > 1e-8:
         raise ValueError(f"{what} rows must sum to 1 (max deviation {dev:.3e})")
-
-
-@dataclass
-class ViewBipartiteGraph:
-    """Row-stochastic (n, m) sample-to-anchor affinity for one view."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        _validate_rows(self.weights, "view graph")
-        np.maximum(self.weights, 0.0, out=self.weights)  # clamp -1e-12..0 noise
-
-
-@dataclass
-class ConsensusBipartiteGraph:
-    """Row-stochastic (n, m) consensus graph; ``components`` is the full
-    component count filled in once the rank loop has converged."""
-
-    weights: np.ndarray
-    components: int | None = None
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        _validate_rows(self.weights, "consensus graph")
-        np.maximum(self.weights, 0.0, out=self.weights)
+    np.maximum(w, 0.0, out=w)
+    return w
 
 
 @dataclass
@@ -79,13 +57,12 @@ class SpectralEmbedding:
     singular_values: np.ndarray
 
 
-def degrees(graph):
+def degrees(w):
     """Sample and anchor degree vectors of a bipartite weight matrix.
 
     Entries below 1e-12 are floored at 1e-12 so downstream inverse square
     roots stay finite.
     """
-    w = _weights(graph)
     d_n = np.maximum(w.sum(axis=1), DEGREE_FLOOR)
     d_m = np.maximum(w.sum(axis=0), DEGREE_FLOOR)
     return d_n, d_m
@@ -139,21 +116,20 @@ def _components(w, eps):
     return k + lone.size, comp
 
 
-def count_components(graph, eps=EDGE_EPS):
+def count_components(w, eps=EDGE_EPS):
     """Connected components of the (n+m)-node bipartite graph whose edges
     are entries > eps. Counts every component, including anchor-only ones;
     equals the multiplicity of eigenvalue 0 of the normalized Laplacian of
     the same thresholded graph."""
-    return _components(_weights(graph), eps)[0]
+    return _components(w, eps)[0]
 
 
-def sample_component_labels(graph, eps=EDGE_EPS):
+def sample_component_labels(w, eps=EDGE_EPS):
     """Component ids of the sample nodes.
 
     Returns (labels, n_sample_components, n_anchor_only). Ids are dense
     0..k-1 assigned in order of each component's smallest sample index.
     """
-    w = _weights(graph)
     n = w.shape[0]
     k, comp = _components(w, eps)
     uniq, first = np.unique(comp[:n], return_index=True)
@@ -181,23 +157,23 @@ def knn_bipartite_init(x, a, k):
         order[s] = np.argsort(d2[s], axis=1, kind="stable")[:, :k]
     d2.fill(0.0)
     np.put_along_axis(d2, order, 1.0 / k, axis=1)
-    return ViewBipartiteGraph(d2)
+    return check_graph(d2, "view graph")
 
 
-def extract_labels(graph, eps=EDGE_EPS, *, expected_components):
+def extract_labels(w, eps=EDGE_EPS, *, expected_components):
     """Cluster labels read directly off the consensus graph's components.
 
     Samples sharing a connected component share a label; ids follow each
     component's smallest sample index. A sample-bearing component count
     other than ``expected_components`` raises ValueError.
     """
-    labels, n_sample, _ = sample_component_labels(graph, eps)
+    labels, n_sample, _ = sample_component_labels(w, eps)
     if n_sample != expected_components:
         raise ValueError(f"component count mismatch: {n_sample} sample-bearing components, "
                          f"expected {expected_components}")
     return labels
 
 
-def dump_graph_csv(graph, path):
+def dump_graph_csv(w, path):
     """Debug dump of the (n, m) weight matrix as CSV."""
-    np.savetxt(path, _weights(graph), delimiter=",", fmt="%.17g")
+    np.savetxt(path, w, delimiter=",", fmt="%.17g")

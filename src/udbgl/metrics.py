@@ -2,44 +2,37 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["ContingencyTable", "nmi", "acc", "purity"]
+__all__ = ["contingency", "nmi", "acc", "purity"]
 
 
-@dataclass
-class ContingencyTable:
-    """Joint label counts; rows index predicted clusters, columns truth."""
-
-    counts: np.ndarray
-    n: int
-
-    @classmethod
-    def from_labels(cls, pred, truth):
-        pred = np.asarray(pred)
-        truth = np.asarray(truth)
-        if pred.ndim != 1 or pred.shape != truth.shape:
-            raise ValueError("label vectors must be 1-d and of equal length")
-        if pred.size == 0:
-            raise ValueError("empty label vectors")
-        _, pi = np.unique(pred, return_inverse=True)
-        _, ti = np.unique(truth, return_inverse=True)
-        counts = np.zeros((pi.max() + 1, ti.max() + 1), dtype=int)
-        np.add.at(counts, (pi, ti), 1)
-        return cls(counts=counts, n=int(pred.size))
+def contingency(pred, truth):
+    """Joint label counts as an integer array; rows index predicted
+    clusters, columns truth, each in sorted order of the label values."""
+    pred = np.asarray(pred)
+    truth = np.asarray(truth)
+    if pred.ndim != 1 or pred.shape != truth.shape:
+        raise ValueError("label vectors must be 1-d and of equal length")
+    if pred.size == 0:
+        raise ValueError("empty label vectors")
+    _, pi = np.unique(pred, return_inverse=True)
+    _, ti = np.unique(truth, return_inverse=True)
+    counts = np.zeros((pi.max() + 1, ti.max() + 1), dtype=int)
+    np.add.at(counts, (pi, ti), 1)
+    return counts
 
 
 def nmi(pred, truth):
     """Normalized mutual information with sqrt(H_pred * H_truth)
     normalization; 0/0 cases (a single cluster on either side) return 0."""
-    table = ContingencyTable.from_labels(pred, truth)
-    p = table.counts / table.n
+    counts = contingency(pred, truth)
+    n = len(pred)
+    p = counts / n
     # marginals from the integer counts: exact for one-cluster sides, and
     # independent of the column/row order the label values induce
-    pr = table.counts.sum(axis=1) / table.n
-    pt = table.counts.sum(axis=0) / table.n
+    pr = counts.sum(axis=1) / n
+    pt = counts.sum(axis=0) / n
     mask = p > 0
     outer = pr[:, None] * pt[None, :]
     mi = float((p[mask] * np.log(p[mask] / outer[mask])).sum())
@@ -90,14 +83,12 @@ def _max_matching_count(counts):
 def acc(pred, truth):
     """Clustering accuracy under the best one-to-one cluster-to-class map
     (a maximum-count matching on the contingency table)."""
-    table = ContingencyTable.from_labels(pred, truth)
-    counts = table.counts
+    counts = contingency(pred, truth)
     if counts.shape[0] > counts.shape[1]:
         counts = counts.T
-    return float(_max_matching_count(counts) / table.n)
+    return float(_max_matching_count(counts) / len(pred))
 
 
 def purity(pred, truth):
     """Fraction of samples in the majority true class of their cluster."""
-    table = ContingencyTable.from_labels(pred, truth)
-    return float(table.counts.max(axis=1).sum() / table.n)
+    return float(contingency(pred, truth).max(axis=1).sum() / len(pred))

@@ -31,14 +31,12 @@ from .anchors import build_anchors
 from .dataset import _is_int, normalize
 from .graphs import (
     EDGE_EPS,
-    ConsensusBipartiteGraph,
     SpectralEmbedding,
-    ViewBipartiteGraph,
+    check_graph,
     count_components,
     degrees,
     extract_labels,
     knn_bipartite_init,
-    _weights,
 )
 from .numerics import (
     QPConvergenceError,
@@ -133,10 +131,12 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Mutable snapshot of the optimizer, updated in place per block."""
+    """Mutable snapshot of the optimizer, updated in place per block: the
+    view graphs ``zs`` (one (n, m) array per view), the consensus graph
+    ``p`` ((n, m)) and the view weights ``delta``."""
 
     zs: list
-    p: ConsensusBipartiteGraph
+    p: np.ndarray
     delta: np.ndarray
     gamma: float
     objective_trace: list = field(default_factory=list)
@@ -147,10 +147,10 @@ class SolverState:
 @dataclass
 class FitContext:
     """What a fit callback needs to recompute anything: the normalized
-    dataset, the anchor set, and the config."""
+    dataset, the per-view anchor arrays, and the config."""
 
     ds: object
-    anchors: object
+    anchors: list
     cfg: SolverConfig
 
 
@@ -164,9 +164,8 @@ def _add_scaled(out, d, w):
 
 def blend(zs, delta):
     """Consensus seed B = sum_v delta_v Z_v (convex, stays row-stochastic)."""
-    mats = [_weights(z) for z in zs]
-    out = np.zeros_like(mats[0])
-    for d, w in zip(delta, mats):
+    out = np.zeros_like(zs[0])
+    for d, w in zip(delta, zs):
         _add_scaled(out, d, w)
     return out
 
@@ -181,9 +180,8 @@ def update_f(p, c, degs=None):
     the normalized-Laplacian trace over orthonormal c-column matrices; the
     attained trace equals c - sum(sigma).
     """
-    w = _weights(p)
-    d_n, d_m = degrees(w) if degs is None else degs
-    mat = w / np.sqrt(d_n)[:, None]
+    d_n, d_m = degrees(p) if degs is None else degs
+    mat = p / np.sqrt(d_n)[:, None]
     mat /= np.sqrt(d_m)[None, :]
     u, sigma, v = truncated_svd(mat, c)
     half = np.sqrt(2.0) / 2.0
@@ -237,7 +235,8 @@ def update_p(b, c, sweep_hook=None):
     RankTargetError when gamma leaves [_GAMMA_MIN, _GAMMA_MAX] = [1e-8, 1e8]
     or after _P_SWEEPS (60) sweeps.
 
-    Returns (ConsensusBipartiteGraph, SpectralEmbedding, gamma).
+    Returns (P, SpectralEmbedding, gamma), P being the accepted (n, m)
+    graph with exactly c components, checked by check_graph.
     """
     b = np.asarray(b, dtype=float)
     gamma = _GAMMA0
@@ -280,7 +279,7 @@ def update_p(b, c, sweep_hook=None):
                 "candidate_surrogate": after,
             })
         if count == c:
-            return ConsensusBipartiteGraph(p, components=count), emb, gamma
+            return check_graph(p, "consensus graph"), emb, gamma
         gamma = gamma * 2.0 if count < c else gamma * 0.5
         if not _GAMMA_MIN <= gamma <= _GAMMA_MAX:
             raise RankTargetError(
@@ -293,15 +292,15 @@ def update_p(b, c, sweep_hook=None):
     )
 
 
-def _qp_linear_term(v, x, a, mats, pw, delta, coupling):
+def _qp_linear_term(v, x, a, zs, p, delta, coupling):
     # F = -fbar with fbar = -2 X^T A + coupling (sum_{i != v} delta_i Z_i - P),
     # in two (n, m) arrays of which F is returned; bit for bit the same as
     # that expression: x - y rounds as x + (-y), and sums commute
-    rest = np.zeros_like(pw)
-    for i, w in enumerate(mats):
+    rest = np.zeros_like(p)
+    for i, w in enumerate(zs):
         if i != v:
             _add_scaled(rest, delta[i], w)
-    rest -= pw
+    rest -= p
     rest *= coupling
     f = x.T @ a
     f *= -2.0
@@ -318,8 +317,6 @@ def update_z(v, x, a, zs, delta, p, alpha, beta):
     one batched solve warm-started from the current graph, so a row never
     scores worse than its current value.
     """
-    pw = _weights(p)
-    mats = [_weights(z) for z in zs]
     coupling = 2.0 * beta * delta[v]
     if not math.isfinite(coupling):  # inf * 0 would put NaN into F
         raise QPConvergenceError(f"view {v}: coupling weight 2 beta delta_v = {coupling} "
@@ -327,10 +324,10 @@ def update_z(v, x, a, zs, delta, p, alpha, beta):
     m = a.shape[1]
     h = a.T @ a + (alpha + beta * delta[v] ** 2) * np.eye(m)
     try:
-        znew = solve_simplex_qp_rows(h, _qp_linear_term(v, x, a, mats, pw, delta, coupling), mats[v])
+        znew = solve_simplex_qp_rows(h, _qp_linear_term(v, x, a, zs, p, delta, coupling), zs[v])
     except QPConvergenceError as exc:
         raise QPConvergenceError(f"view {v}: {exc}") from exc
-    return ViewBipartiteGraph(znew)
+    return check_graph(znew, "view graph")
 
 
 def update_delta(zs, p, delta_prev=None):
@@ -343,15 +340,13 @@ def update_delta(zs, p, delta_prev=None):
     1/V; a ``delta_prev`` that scores better than the solve is kept, so
     the blend penalty never increases across outer iterations.
     """
-    mats = [_weights(z) for z in zs]
-    pw = _weights(p)
-    nviews = len(mats)
-    buf = np.empty_like(pw)  # every product below, each summed in one pass
+    nviews = len(zs)
+    buf = np.empty_like(p)  # every product below, each summed in one pass
     h = np.empty((nviews, nviews))
     for i in range(nviews):
         for j in range(i, nviews):
-            h[i, j] = h[j, i] = float(np.multiply(mats[i], mats[j], out=buf).sum())
-    f = np.array([2.0 * float(np.multiply(w, pw, out=buf).sum()) for w in mats])
+            h[i, j] = h[j, i] = float(np.multiply(zs[i], zs[j], out=buf).sum())
+    f = np.array([2.0 * float(np.multiply(w, p, out=buf).sum()) for w in zs])
     delta = solve_simplex_qp_rows(h, f[None, :], np.full((1, nviews), 1.0 / nviews))[0]
     if delta_prev is not None:
         prev = np.asarray(delta_prev, dtype=float)
@@ -366,11 +361,10 @@ def objective(state, ds, anchors, cfg):
     + beta ||sum_v delta_v Z_v - P||_F^2. Raises QPConvergenceError when it
     overflows, which fit's relative stopping test would take for convergence."""
     total = 0.0
-    for x, a, z in zip(ds.views, anchors.per_view, state.zs):
-        w = _weights(z)
-        total += _sum_sq_diff(x, a @ w.T) + cfg.alpha * float((w * w).sum())
+    for x, a, z in zip(ds.views, anchors, state.zs):
+        total += _sum_sq_diff(x, a @ z.T) + cfg.alpha * float((z * z).sum())
     # (P - B)^2 is (B - P)^2 bit for bit: rounding is symmetric in sign
-    total += cfg.beta * _sum_sq_diff(_weights(state.p), blend(state.zs, state.delta))
+    total += cfg.beta * _sum_sq_diff(state.p, blend(state.zs, state.delta))
     if not math.isfinite(total):
         raise QPConvergenceError(f"objective is {total} after {state.iterations} iterations; "
                                  f"alpha={cfg.alpha:g} or beta={cfg.beta:g} is too large")
@@ -408,20 +402,20 @@ def fit(ds, cfg, variant="full", callback=None, p_sweep_hook=None):
 
     t = time.perf_counter()
     k = cfg.resolved_k()
-    zs = [knn_bipartite_init(x, a, k) for x, a in zip(ds_n.views, anchors.per_view)]
+    zs = [knn_bipartite_init(x, a, k) for x, a in zip(ds_n.views, anchors)]
     nviews = ds_n.n_views
     delta = np.full(nviews, 1.0 / nviews)
     if variant == "two_phase":
         # with beta = 0 the row QPs decouple from P, delta, and the other
         # views, so one exact pass is already the converged first phase
         seed_p = blend(zs, delta)
-        zs = [update_z(v, ds_n.views[v], anchors.per_view[v], zs, delta, seed_p, cfg.alpha, 0.0)
+        zs = [update_z(v, ds_n.views[v], anchors[v], zs, delta, seed_p, cfg.alpha, 0.0)
               for v in range(nviews)]
     timings["init"] = time.perf_counter() - t
 
     state = SolverState(
         zs=zs,
-        p=ConsensusBipartiteGraph(blend(zs, delta).copy()),
+        p=check_graph(blend(zs, delta), "consensus graph"),
         delta=delta,
         gamma=_GAMMA0,
         timings=timings,
@@ -441,7 +435,7 @@ def fit(ds, cfg, variant="full", callback=None, p_sweep_hook=None):
 
         if variant == "full":
             for v in range(nviews):
-                state.zs[v] = update_z(v, ds_n.views[v], anchors.per_view[v], state.zs,
+                state.zs[v] = update_z(v, ds_n.views[v], anchors[v], state.zs,
                                        state.delta, state.p, cfg.alpha, cfg.beta)
                 if callback is not None:
                     callback(f"update_z:{v}", state, ctx)

@@ -15,8 +15,7 @@ def test_anchor_shapes_per_view():
     rng = np.random.default_rng(0)
     ds = MultiViewDataset([rng.standard_normal((2, 9)), rng.standard_normal((3, 9))])
     anchors = build_anchors(ds, 4, seed=0)
-    assert [a.shape for a in anchors.per_view] == [(2, 4), (3, 4)]
-    assert anchors.m == 4
+    assert [a.shape for a in anchors] == [(2, 4), (3, 4)]
 
 
 def test_noise_free_blobs_recover_true_centers():
@@ -24,7 +23,7 @@ def test_noise_free_blobs_recover_true_centers():
     anchors = build_anchors(ds, 3, seed=0)
     for v, x in enumerate(ds.views):
         true = np.unique(x.T, axis=0)                      # 3 distinct center rows
-        got = np.unique(anchors.per_view[v].T, axis=0)
+        got = np.unique(anchors[v].T, axis=0)
         assert np.allclose(np.sort(true, axis=0), np.sort(got, axis=0), atol=1e-10)
 
 
@@ -33,7 +32,7 @@ def test_m_equals_n_returns_the_samples():
     ds = MultiViewDataset([rng.standard_normal((2, 6)), rng.standard_normal((4, 6))])
     anchors = build_anchors(ds, 6, seed=0)
     stacked = np.vstack(ds.views)
-    got = np.vstack(anchors.per_view)
+    got = np.vstack(anchors)
     # every sample appears as an anchor column, in some order
     order = []
     for j in range(6):
@@ -48,14 +47,14 @@ def test_anchor_columns_consistent_across_views():
     ds = synth_blobs(40, 4, 2, dims=[3, 2], noise=0.05, seed=3)
     anchors = build_anchors(ds, 5, seed=7)
     centers, _ = kmeans(np.vstack(ds.views), 5, seed=7, max_iter=_LLOYD_STEPS, n_init=_RESTARTS)
-    assert np.allclose(np.vstack(anchors.per_view), centers, atol=1e-12)
+    assert np.allclose(np.vstack(anchors), centers, atol=1e-12)
 
 
 def test_build_anchors_deterministic():
     ds = synth_blobs(25, 3, 2, seed=4)
     a1 = build_anchors(ds, 4, seed=5)
     a2 = build_anchors(ds, 4, seed=5)
-    assert all(np.array_equal(x, y) for x, y in zip(a1.per_view, a2.per_view))
+    assert all(np.array_equal(x, y) for x, y in zip(a1, a2))
 
 
 def test_build_anchors_rejects_m_above_n():
@@ -68,7 +67,7 @@ def test_build_anchors_caps_lloyd_steps():
     # W1-sized data, whose restarts need more than 10 Lloyd passes: the
     # anchors are the 10-step k-means centers, not the converged ones
     ds = _w1()
-    got = np.vstack(build_anchors(ds, 50, seed=0).per_view)
+    got = np.vstack(build_anchors(ds, 50, seed=0))
     capped, _ = kmeans(np.vstack(ds.views), 50, seed=0, max_iter=_LLOYD_STEPS, n_init=_RESTARTS)
     uncapped, _ = kmeans(np.vstack(ds.views), 50, seed=0, n_init=_RESTARTS)
     assert np.array_equal(got, capped)
@@ -80,7 +79,7 @@ def test_build_anchors_is_three_restarts_of_ten_steps():
     # all of them, so two or ten restarts would pick other anchors
     ds = _w1()
     pts = np.vstack(ds.views)
-    got = np.vstack(build_anchors(ds, 50, seed=5).per_view)
+    got = np.vstack(build_anchors(ds, 50, seed=5))
     assert np.array_equal(got, kmeans(pts, 50, seed=5, max_iter=10, n_init=3)[0])
     for other in (2, 10):
         assert not np.array_equal(got, kmeans(pts, 50, seed=5, max_iter=10, n_init=other)[0])
@@ -136,7 +135,7 @@ def test_build_anchors_sse_no_worse_than_ten_plain_restarts(data, m, monkeypatch
     def sse(centers):
         return float(_sqdist(x, centers.T, xx).min(axis=1).sum())
 
-    got = sse(np.vstack(build_anchors(ds, m, seed=0).per_view))
+    got = sse(np.vstack(build_anchors(ds, m, seed=0)))
     monkeypatch.setattr(numerics, "_kmeanspp", _plain_kmeanspp)
     plain, _ = kmeans(pts, m, seed=0, max_iter=10, n_init=10)
     assert got <= 1.001 * sse(plain)

@@ -184,6 +184,25 @@ def test_bad_configs_exit_2(tmp_path, capsys, raw):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "grid"])
+@pytest.mark.parametrize("manifest", [
+    5,
+    {"views": [1]},
+    {"views": ["v.csv"], "labels": 5},
+    {"views": ["v.csv"], "delimiter": 5},
+    {"views": ["v.csv"], "delimiter": ";;"},
+    {"views": ["v.csv"], "header": "x"},  # truthy: would drop the first row
+])
+def test_malformed_manifest_exits_2(tmp_path, capsys, command, manifest):
+    np.savetxt(tmp_path / "v.csv", np.arange(12.0).reshape(6, 2), delimiter=",")
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    cfg = write_config(tmp_path, manifest="manifest.json", c=2)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "error: bad dataset" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unreadable_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "cfg.json"
     bad.write_text("{not json")

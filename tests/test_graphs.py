@@ -4,8 +4,7 @@ from conftest import eigen_component_count, random_bipartite
 
 from udbgl.graphs import (
     EDGE_EPS,
-    ConsensusBipartiteGraph,
-    ViewBipartiteGraph,
+    check_graph,
     count_components,
     degrees,
     dump_graph_csv,
@@ -18,30 +17,32 @@ TWO_STARS = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------
-# containers
+# the row check
 
 def test_view_graph_validates_rows():
-    with pytest.raises(ValueError, match="sum to 1"):
-        ViewBipartiteGraph(np.array([[0.6, 0.6]]))
+    with pytest.raises(ValueError, match="view graph rows must sum to 1"):
+        check_graph(np.array([[0.6, 0.6]]), "view graph")
     with pytest.raises(ValueError, match="negative"):
-        ViewBipartiteGraph(np.array([[1.5, -0.5]]))
+        check_graph(np.array([[1.5, -0.5]]), "view graph")
     with pytest.raises(ValueError, match="2-d"):
-        ViewBipartiteGraph(np.ones(3))
-    with pytest.raises(ValueError, match="non-finite"):
-        ConsensusBipartiteGraph(np.array([[np.nan, 1.0]]))
+        check_graph(np.ones(3), "view graph")
+    with pytest.raises(ValueError, match="non-finite weight in consensus graph"):
+        check_graph(np.array([[np.nan, 1.0]]), "consensus graph")
 
 
 def test_graph_clamps_tiny_negative_noise():
-    g = ViewBipartiteGraph(np.array([[1.0 + 1e-13, -1e-13]]))
-    assert g.weights.min() == 0.0
-    assert abs(g.weights.sum() - 1.0) <= 1e-8
+    w = np.array([[1.0 + 1e-13, -1e-13]])
+    g = check_graph(w, "view graph")
+    assert g is w
+    assert g.min() == 0.0
+    assert abs(g.sum() - 1.0) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
 # degrees
 
 def test_degrees_of_row_stochastic_graph():
-    d_n, d_m = degrees(ViewBipartiteGraph(TWO_STARS / 1.0))
+    d_n, d_m = degrees(TWO_STARS / 1.0)
     assert np.allclose(d_n, 1.0)
     assert np.allclose(d_m, [2.0, 2.0])
 
@@ -208,13 +209,13 @@ def test_knn_k1_is_one_hot_on_nearest_anchor():
     x = np.array([[0.0, 1.0, 4.1]])
     a = np.array([[0.0, 4.0]])
     g = knn_bipartite_init(x, a, 1)
-    assert np.array_equal(g.weights, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(g, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def test_knn_k_equals_m_is_uniform():
     rng = np.random.default_rng(1)
     g = knn_bipartite_init(rng.standard_normal((3, 5)), rng.standard_normal((3, 4)), 4)
-    assert np.allclose(g.weights, 0.25)
+    assert np.allclose(g, 0.25)
 
 
 def test_knn_tie_breaks_to_lower_anchor_index():
@@ -222,15 +223,15 @@ def test_knn_tie_breaks_to_lower_anchor_index():
     x = np.array([[3.0]])
     a = np.array([[10.0, -7.0, 2.0, 8.0, 9.0, 4.0]])
     g = knn_bipartite_init(x, a, 1)
-    assert g.weights[0, 2] == 1.0
-    assert g.weights[0].sum() == 1.0
+    assert g[0, 2] == 1.0
+    assert g[0].sum() == 1.0
 
 
 def test_knn_weights_are_one_over_k():
     rng = np.random.default_rng(2)
     g = knn_bipartite_init(rng.standard_normal((2, 10)), rng.standard_normal((2, 6)), 3)
-    assert set(np.unique(g.weights)) == {0.0, 1.0 / 3.0}
-    assert np.allclose(g.weights.sum(axis=1), 1.0)
+    assert set(np.unique(g)) == {0.0, 1.0 / 3.0}
+    assert np.allclose(g.sum(axis=1), 1.0)
 
 
 def test_knn_rejects_bad_k():
@@ -258,19 +259,12 @@ def test_extract_labels_mismatch_raises():
         extract_labels(TWO_STARS, expected_components=3)
 
 
-def test_extract_labels_uses_graph_component_count():
-    g = ConsensusBipartiteGraph(TWO_STARS, components=2)
-    assert np.array_equal(extract_labels(g, expected_components=2), [0, 0, 1, 1])
-    with pytest.raises(ValueError, match="component count mismatch"):
-        extract_labels(g, expected_components=g.components + 1)
-
-
 def test_extract_labels_nets_out_anchor_only_components():
     w = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    g = ConsensusBipartiteGraph(w, components=3)  # 2 sample-bearing + 1 isolated anchor
-    assert np.array_equal(extract_labels(g, expected_components=2), [0, 0, 1])
+    # 2 sample-bearing components + 1 isolated anchor
+    assert np.array_equal(extract_labels(w, expected_components=2), [0, 0, 1])
     with pytest.raises(ValueError, match="component count mismatch"):
-        extract_labels(g, expected_components=3)
+        extract_labels(w, expected_components=3)
 
 
 def test_extract_labels_invariant_to_positive_row_rescaling():
@@ -291,6 +285,6 @@ def test_dump_graph_round_trips(tmp_path):
     w = rng.random((5, 3))
     w /= w.sum(axis=1, keepdims=True)
     path = tmp_path / "graph.csv"
-    dump_graph_csv(ViewBipartiteGraph(w), path)
+    dump_graph_csv(w, path)
     back = np.loadtxt(path, delimiter=",")
     assert np.array_equal(back, w)

@@ -9,7 +9,7 @@ import types
 import numpy as np
 import pytest
 
-from udbgl.graphs import SpectralEmbedding, ViewBipartiteGraph, _weights
+from udbgl.graphs import SpectralEmbedding
 from udbgl.numerics import (
     _BLOCK,
     _row_obj,
@@ -56,19 +56,18 @@ def kkt_ref(H, F, X):
 
 
 def blend_ref(zs, delta):
-    out = np.zeros_like(_weights(zs[0]))
+    out = np.zeros_like(zs[0])
     for d, z in zip(delta, zs):
-        out += d * _weights(z)
+        out += d * z
     return out
 
 
 def objective_ref(state, ds, anchors, cfg):
     total = 0.0
-    for x, a, z in zip(ds.views, anchors.per_view, state.zs):
-        w = _weights(z)
-        r = x - a @ w.T
-        total += float((r * r).sum()) + cfg.alpha * float((w * w).sum())
-    diff = blend_ref(state.zs, state.delta) - _weights(state.p)
+    for x, a, z in zip(ds.views, anchors, state.zs):
+        r = x - a @ z.T
+        total += float((r * r).sum()) + cfg.alpha * float((z * z).sum())
+    diff = blend_ref(state.zs, state.delta) - state.p
     return total + cfg.beta * float((diff * diff).sum())
 
 
@@ -179,9 +178,9 @@ def test_kkt_residual_and_row_objective_match_reference(rng):
 
 
 def test_blend_matches_reference(rng):
-    zs = [ViewBipartiteGraph(_stochastic(rng, N, M)) for _ in range(3)]
+    zs = [_stochastic(rng, N, M) for _ in range(3)]
     delta = np.array([0.2, 0.0, 0.8])
-    seal = Untouched(*(z.weights for z in zs), delta)
+    seal = Untouched(*zs, delta)
     assert np.array_equal(blend(zs, delta), blend_ref(zs, delta))
     seal.check()
 
@@ -189,17 +188,16 @@ def test_blend_matches_reference(rng):
 def _fit_state(rng, n=N, m=M, dims=(3, 5, 4)):
     views = [rng.random((d, n)) for d in dims]
     anchors = [rng.random((d, m)) for d in dims]
-    zs = [ViewBipartiteGraph(_stochastic(rng, n, m)) for _ in dims]
+    zs = [_stochastic(rng, n, m) for _ in dims]
     delta = np.array([0.5, 0.2, 0.3])
-    state = SolverState(zs=zs, p=ViewBipartiteGraph(_stochastic(rng, n, m)), delta=delta, gamma=1.0)
-    return (types.SimpleNamespace(views=views), types.SimpleNamespace(per_view=anchors), state,
+    state = SolverState(zs=zs, p=_stochastic(rng, n, m), delta=delta, gamma=1.0)
+    return (types.SimpleNamespace(views=views), anchors, state,
             SolverConfig(c=2, alpha=0.7, beta=1.3, m=m))
 
 
 def test_objective_matches_reference(rng):
     ds, anchors, state, cfg = _fit_state(rng)
-    seal = Untouched(*ds.views, *anchors.per_view, *(z.weights for z in state.zs),
-                     state.p.weights, state.delta)
+    seal = Untouched(*ds.views, *anchors, *state.zs, state.p, state.delta)
     assert objective(state, ds, anchors, cfg) == objective_ref(state, ds, anchors, cfg)
     seal.check()
 
@@ -207,17 +205,17 @@ def test_objective_matches_reference(rng):
 @pytest.mark.parametrize("v", [0, 2])
 def test_update_z_linear_term_matches_reference(rng, v):
     ds, anchors, state, cfg = _fit_state(rng)
-    x, a, delta = ds.views[v], anchors.per_view[v], state.delta
-    mats = [z.weights for z in state.zs]
-    seal = Untouched(x, a, *mats, state.p.weights, delta)
+    x, a, delta = ds.views[v], anchors[v], state.delta
+    mats = state.zs
+    seal = Untouched(x, a, *mats, state.p, delta)
     rest = np.zeros_like(mats[0])
     for i, w in enumerate(mats):
         if i != v:
             rest += delta[i] * w
-    fbar = -2.0 * (x.T @ a) + 2.0 * cfg.beta * delta[v] * (rest - state.p.weights)
+    fbar = -2.0 * (x.T @ a) + 2.0 * cfg.beta * delta[v] * (rest - state.p)
     h = a.T @ a + (cfg.alpha + cfg.beta * delta[v] ** 2) * np.eye(M)
-    ref = ViewBipartiteGraph(solve_simplex_qp_rows(h, -fbar, mats[v])).weights
-    got = update_z(v, x, a, state.zs, delta, state.p, cfg.alpha, cfg.beta).weights
+    ref = solve_simplex_qp_rows(h, -fbar, mats[v])
+    got = update_z(v, x, a, state.zs, delta, state.p, cfg.alpha, cfg.beta)
     assert np.array_equal(got, ref)
     seal.check()
 

@@ -37,7 +37,7 @@ def state():
     ds = normalize(synth_blobs(n=N, c=5, n_views=3, dims=[20] * 3, noise=0.3, seed=0))
     cfg = SolverConfig(c=5, m=M)
     anchors = build_anchors(ds, M, seed=cfg.seed)
-    zs = [knn_bipartite_init(x, a, cfg.resolved_k()) for x, a in zip(ds.views, anchors.per_view)]
+    zs = [knn_bipartite_init(x, a, cfg.resolved_k()) for x, a in zip(ds.views, anchors)]
     delta = np.full(3, 1.0 / 3)
     p, _, gamma = update_p(blend(zs, delta), cfg.c)
     return ds, anchors, cfg, SolverState(zs=zs, p=p, delta=delta, gamma=gamma)
@@ -56,7 +56,7 @@ def test_update_z_holds_at_most_five_graphs(state):
     # the linear term and the new graph, H^-1 f formed in it, one Newton
     # block and the warm start scored at the end (11.7 at the parent commit)
     ds, anchors, cfg, st = state
-    peak = max(_peak_units(update_z, v, ds.views[v], anchors.per_view[v], st.zs, st.delta,
+    peak = max(_peak_units(update_z, v, ds.views[v], anchors[v], st.zs, st.delta,
                            st.p, cfg.alpha, cfg.beta) for v in range(3))
     assert peak <= 5.0
 

@@ -13,9 +13,7 @@ from udbgl.anchors import build_anchors
 from udbgl.dataset import MultiViewDataset, normalize, synth_blobs
 from udbgl.graphs import (
     EDGE_EPS,
-    ConsensusBipartiteGraph,
     SpectralEmbedding,
-    ViewBipartiteGraph,
     count_components,
     knn_bipartite_init,
     sample_component_labels,
@@ -42,6 +40,13 @@ TWO_STARS = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
 def random_row_stochastic(rng, n, m):
     w = rng.random((n, m)) + 0.05
     return w / w.sum(axis=1, keepdims=True)
+
+
+def blob_graphs():
+    # normalized 60-sample blobs, their 6 anchors and K-NN (K = 3) view graphs
+    ds = normalize(synth_blobs(60, 3, 2, noise=0.1, seed=0))
+    anchors = build_anchors(ds, 6, seed=0)
+    return ds, anchors, [knn_bipartite_init(x, a, 3) for x, a in zip(ds.views, anchors)]
 
 
 def naive_objective(views, anchor_mats, z_mats, delta, p_mat, alpha, beta):
@@ -98,22 +103,21 @@ def test_config_checks_m_against_n():
 # blend
 
 def test_blend_single_view_is_identity():
-    z = ViewBipartiteGraph(TWO_STARS)
-    assert np.array_equal(blend([z], np.array([1.0])), TWO_STARS)
+    assert np.array_equal(blend([TWO_STARS], np.array([1.0])), TWO_STARS)
 
 
 def test_blend_vertex_weight_selects_one_view():
     rng = np.random.default_rng(0)
-    zs = [ViewBipartiteGraph(random_row_stochastic(rng, 5, 3)) for _ in range(3)]
+    zs = [random_row_stochastic(rng, 5, 3) for _ in range(3)]
     out = blend(zs, np.array([0.0, 1.0, 0.0]))
-    assert np.array_equal(out, zs[1].weights)
+    assert np.array_equal(out, zs[1])
 
 
 def test_blend_uniform_weights_average():
     rng = np.random.default_rng(1)
-    zs = [ViewBipartiteGraph(random_row_stochastic(rng, 4, 3)) for _ in range(2)]
+    zs = [random_row_stochastic(rng, 4, 3) for _ in range(2)]
     out = blend(zs, np.array([0.5, 0.5]))
-    assert np.allclose(out, 0.5 * (zs[0].weights + zs[1].weights))
+    assert np.allclose(out, 0.5 * (zs[0] + zs[1]))
     assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12
 
 
@@ -222,9 +226,9 @@ def test_update_p_rows_matches_projection_oracle():
 
 def test_update_p_exits_immediately_when_b_has_c_components():
     graph, emb, gamma = update_p(TWO_STARS, 2)
-    assert graph.components == 2
+    assert count_components(graph) == 2
     assert gamma == 0.1  # untouched on exit
-    assert np.allclose(graph.weights, TWO_STARS, atol=1e-12)
+    assert np.allclose(graph, TWO_STARS, atol=1e-12)
     assert abs(2 - emb.singular_values.sum()) <= 1e-8
 
 
@@ -232,27 +236,24 @@ def test_update_p_dense_b_single_component():
     rng = np.random.default_rng(8)
     b = random_row_stochastic(rng, 8, 3)
     graph, _, _ = update_p(b, 1)
-    assert graph.components == 1
-    assert np.allclose(graph.weights, b, atol=1e-9)
+    assert count_components(graph) == 1
+    assert np.allclose(graph, b, atol=1e-9)
 
 
 def test_update_p_splits_blob_blend_into_c_components():
-    ds = normalize(synth_blobs(60, 3, 2, noise=0.1, seed=0))
-    anchors = build_anchors(ds, 6, seed=0)
-    zs = [knn_bipartite_init(x, a, 3) for x, a in zip(ds.views, anchors.per_view)]
+    _, _, zs = blob_graphs()
     b = blend(zs, np.array([0.5, 0.5]))
     graph, emb, gamma = update_p(b, 3)
-    assert count_components(graph.weights, EDGE_EPS) == 3
-    assert eigen_component_count(graph.weights, EDGE_EPS) == 3
-    assert graph.components == 3
+    assert count_components(graph, EDGE_EPS) == 3
+    assert eigen_component_count(graph, EDGE_EPS) == 3
     assert abs(3 - emb.singular_values.sum()) <= 1e-6
-    assert np.abs(graph.weights.sum(axis=1) - 1.0).max() <= 1e-8
+    assert np.abs(graph.sum(axis=1) - 1.0).max() <= 1e-8
 
 
 def test_update_p_sweep_hook_reports_monotone_accepted_sweeps():
     ds = normalize(synth_blobs(40, 3, 2, noise=0.1, seed=1))
     anchors = build_anchors(ds, 3, seed=0)
-    zs = [knn_bipartite_init(x, a, 3) for x, a in zip(ds.views, anchors.per_view)]
+    zs = [knn_bipartite_init(x, a, 3) for x, a in zip(ds.views, anchors)]
     b = blend(zs, np.array([0.5, 0.5]))
     rows = []
     update_p(b, 3, sweep_hook=rows.append)
@@ -329,19 +330,19 @@ def test_update_z_self_representation_limit():
     # X = A with vanishing regularization: each sample reproduces itself
     rng = np.random.default_rng(9)
     a = rng.standard_normal((4, 5))
-    zs = [ViewBipartiteGraph(np.full((5, 5), 0.2))]
+    zs = [np.full((5, 5), 0.2)]
     p = np.full((5, 5), 0.2)
     z = update_z(0, a.copy(), a, zs, np.array([1.0]), p, 1e-10, 1e-10)
-    assert np.abs(z.weights - np.eye(5)).max() <= 1e-6
+    assert np.abs(z - np.eye(5)).max() <= 1e-6
 
 
 def test_update_z_single_anchor():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((3, 6))
     a = rng.standard_normal((3, 1))
-    zs = [ViewBipartiteGraph(np.ones((6, 1)))]
+    zs = [np.ones((6, 1))]
     z = update_z(0, x, a, zs, np.array([1.0]), np.ones((6, 1)), 1.0, 1.0)
-    assert np.array_equal(z.weights, np.ones((6, 1)))
+    assert np.array_equal(z, np.ones((6, 1)))
 
 
 def test_update_z_matches_grid_oracle():
@@ -355,8 +356,8 @@ def test_update_z_matches_grid_oracle():
         other = random_row_stochastic(rng, 3, 2)
         p = random_row_stochastic(rng, 3, 2)
         delta = np.array([0.6, 0.4])
-        zs = [ViewBipartiteGraph(z0), ViewBipartiteGraph(other)]
-        out = update_z(0, x, a, zs, delta, p, 1.0, 1.0).weights
+        zs = [z0, other]
+        out = update_z(0, x, a, zs, delta, p, 1.0, 1.0)
         ts = np.linspace(0.0, 1.0, 10001)
         cand = np.stack([ts, 1.0 - ts], axis=1)
         for j in range(3):
@@ -372,15 +373,15 @@ def test_update_z_never_increases_objective():
     for seed in range(3):
         ds = normalize(synth_blobs(30, 3, 2, noise=0.2, seed=seed))
         anchors = build_anchors(ds, 4, seed=seed)
-        zs = [knn_bipartite_init(x, a, 2) for x, a in zip(ds.views, anchors.per_view)]
+        zs = [knn_bipartite_init(x, a, 2) for x, a in zip(ds.views, anchors)]
         delta = np.array([0.3, 0.7])
-        p = ConsensusBipartiteGraph(random_row_stochastic(rng, 30, 4))
-        z_mats = [z.weights.copy() for z in zs]
-        before = naive_objective(ds.views, anchors.per_view, z_mats, delta, p.weights, 1.0, 1.0)
+        p = random_row_stochastic(rng, 30, 4)
+        z_mats = [z.copy() for z in zs]
+        before = naive_objective(ds.views, anchors, z_mats, delta, p, 1.0, 1.0)
         for v in range(2):
-            zs[v] = update_z(v, ds.views[v], anchors.per_view[v], zs, delta, p, 1.0, 1.0)
-            z_mats[v] = zs[v].weights
-            after = naive_objective(ds.views, anchors.per_view, z_mats, delta, p.weights, 1.0, 1.0)
+            zs[v] = update_z(v, ds.views[v], anchors[v], zs, delta, p, 1.0, 1.0)
+            z_mats[v] = zs[v]
+            after = naive_objective(ds.views, anchors, z_mats, delta, p, 1.0, 1.0)
             assert after <= before + 1e-9
             before = after
 
@@ -397,8 +398,8 @@ def test_update_z_from_knn_seed_takes_few_newton_steps(monkeypatch):
     monkeypatch.setattr(solver_mod, "solve_simplex_qp_rows", counted)
     ds = normalize(synth_blobs(n=500, c=5, n_views=1, dims=[20], noise=0.3))
     anchors = build_anchors(ds, 100, seed=0)
-    zs = [knn_bipartite_init(ds.views[0], anchors.per_view[0], 5)]
-    update_z(0, ds.views[0], anchors.per_view[0], zs, np.array([1.0]), zs[0], 1.0, 1.0)
+    zs = [knn_bipartite_init(ds.views[0], anchors[0], 5)]
+    update_z(0, ds.views[0], anchors[0], zs, np.array([1.0]), zs[0], 1.0, 1.0)
     assert rounds and set(rounds) == {"newton"}
     assert len(rounds) <= 15, len(rounds)
 
@@ -407,26 +408,52 @@ def test_update_z_propagates_view_in_qp_errors(monkeypatch):
     def boom(*args, **kwargs):
         raise QPConvergenceError("row 3: stalled")
     monkeypatch.setattr(solver_mod, "solve_simplex_qp_rows", boom)
-    zs = [ViewBipartiteGraph(np.ones((2, 1))), ViewBipartiteGraph(np.ones((2, 1)))]
+    zs = [np.ones((2, 1)), np.ones((2, 1))]
     with pytest.raises(QPConvergenceError, match="view 1: row 3"):
         update_z(1, np.ones((2, 2)), np.ones((2, 1)), zs, np.array([0.5, 0.5]),
                  np.ones((2, 1)), 1.0, 1.0)
+
+
+def _off_simplex(fn):
+    # fn with row 0 of its result raised by 1e-6: inside the QP's KKT
+    # tolerance, outside the row check's 1e-8
+    def wrapped(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        out[0, np.argmax(out[0])] += 1e-6
+        return out
+    return wrapped
+
+
+def test_update_z_checks_the_graph_it_returns(monkeypatch):
+    ds, anchors, zs = blob_graphs()
+    monkeypatch.setattr(solver_mod, "solve_simplex_qp_rows",
+                        _off_simplex(solver_mod.solve_simplex_qp_rows))
+    delta = np.array([0.5, 0.5])
+    with pytest.raises(ValueError, match="view graph rows must sum to 1"):
+        update_z(0, ds.views[0], anchors[0], zs, delta, blend(zs, delta), 1.0, 1.0)
+
+
+def test_update_p_checks_the_graph_it_returns(monkeypatch):
+    _, _, zs = blob_graphs()
+    monkeypatch.setattr(solver_mod, "project_rows_onto_simplex",
+                        _off_simplex(solver_mod.project_rows_onto_simplex))
+    with pytest.raises(ValueError, match="consensus graph rows must sum to 1"):
+        update_p(blend(zs, np.array([0.5, 0.5])), 3)
 
 
 # ---------------------------------------------------------------------------
 # delta update
 
 def test_update_delta_single_view():
-    z = ViewBipartiteGraph(TWO_STARS)
-    out = update_delta([z], ConsensusBipartiteGraph(TWO_STARS))
+    out = update_delta([TWO_STARS], TWO_STARS)
     assert np.allclose(out, [1.0])
 
 
 def test_update_delta_prefers_matching_view():
     p = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    z1 = ViewBipartiteGraph(p.copy())
-    z2 = ViewBipartiteGraph(1.0 - p)
-    out = update_delta([z1, z2], ConsensusBipartiteGraph(p))
+    z1 = p.copy()
+    z2 = 1.0 - p
+    out = update_delta([z1, z2], p)
     assert np.allclose(out, [1.0, 0.0], atol=1e-8)
 
 
@@ -436,8 +463,7 @@ def test_update_delta_matches_1d_grid():
         z1 = random_row_stochastic(rng, 6, 3)
         z2 = random_row_stochastic(rng, 6, 3)
         p = random_row_stochastic(rng, 6, 3)
-        out = update_delta([ViewBipartiteGraph(z1), ViewBipartiteGraph(z2)],
-                           ConsensusBipartiteGraph(p))
+        out = update_delta([z1, z2], p)
         ts = np.linspace(0.0, 1.0, 10001)
         loss = np.array([((t * z1 + (1 - t) * z2 - p) ** 2).sum() for t in ts])
         best = ts[np.argmin(loss)]
@@ -454,9 +480,9 @@ def test_update_delta_identical_views_singular_gram():
         p = random_row_stochastic(rng, 6, 3)
         other = random_row_stochastic(rng, 6, 3)
         for mats in ([z, z], [z, z, other]):
-            zs = [ViewBipartiteGraph(m.copy()) for m in mats]
+            zs = [m.copy() for m in mats]
             for prev in (None, np.full(len(mats), 1.0 / len(mats))):
-                out = update_delta(zs, ConsensusBipartiteGraph(p), delta_prev=prev)
+                out = update_delta(zs, p, delta_prev=prev)
                 assert np.all(np.isfinite(out)) and out.min() >= 0.0
                 assert abs(out.sum() - 1.0) <= 1e-12
 
@@ -468,9 +494,8 @@ def test_update_delta_never_worse_than_previous():
     for _ in range(10):
         mats = [random_row_stochastic(rng, 5, 3) for _ in range(3)]
         p = random_row_stochastic(rng, 5, 3)
-        zs = [ViewBipartiteGraph(m) for m in mats]
         prev = projection_oracle(rng.standard_normal(3))
-        out = update_delta(zs, ConsensusBipartiteGraph(p), delta_prev=prev)
+        out = update_delta(mats, p, delta_prev=prev)
         assert fusion(out, mats, p) <= fusion(prev, mats, p) + 1e-12
 
 
@@ -488,9 +513,8 @@ def test_objective_zero_residual_leaves_alpha_term():
     a = rng.standard_normal((4, 3))
     x = a @ z.T
     ds = MultiViewDataset([x])
-    anchors = type("A", (), {"per_view": [a]})()
-    zg = ViewBipartiteGraph(z)
-    state = _state_for([zg], ConsensusBipartiteGraph(z.copy()), np.array([1.0]))
+    anchors = [a]
+    state = _state_for([z], z.copy(), np.array([1.0]))
     cfg = SolverConfig(c=2, alpha=0.7, beta=3.0)
     assert abs(objective(state, ds, anchors, cfg) - 0.7 * (z ** 2).sum()) <= 1e-10
 
@@ -501,9 +525,9 @@ def test_objective_uniform_rows_closed_form():
     a = np.zeros((2, m))
     x = a @ z.T
     ds = MultiViewDataset([x] * nviews)
-    anchors = type("A", (), {"per_view": [a] * nviews})()
-    zs = [ViewBipartiteGraph(z.copy()) for _ in range(nviews)]
-    state = _state_for(zs, ConsensusBipartiteGraph(z.copy()), np.full(nviews, 1 / nviews))
+    anchors = [a] * nviews
+    zs = [z.copy() for _ in range(nviews)]
+    state = _state_for(zs, z.copy(), np.full(nviews, 1 / nviews))
     cfg = SolverConfig(c=2, alpha=1.3, beta=1.0)
     # ||Z||_F^2 = n/m for uniform rows
     assert abs(objective(state, ds, anchors, cfg) - 1.3 * nviews * n / m) <= 1e-10
@@ -516,15 +540,13 @@ def test_objective_matches_naive_recompute():
         views = [rng.standard_normal((3, n)), rng.standard_normal((2, n))]
         ds = MultiViewDataset(views)
         a_mats = [rng.standard_normal((3, m)), rng.standard_normal((2, m))]
-        anchors = type("A", (), {"per_view": a_mats})()
         z_mats = [random_row_stochastic(rng, n, m) for _ in range(2)]
         delta = projection_oracle(rng.standard_normal(2))
         p = random_row_stochastic(rng, n, m)
-        state = _state_for([ViewBipartiteGraph(z) for z in z_mats],
-                           ConsensusBipartiteGraph(p), delta)
+        state = _state_for(list(z_mats), p, delta)
         cfg = SolverConfig(c=2, alpha=0.4, beta=2.5)
         ref = naive_objective(views, a_mats, z_mats, delta, p, 0.4, 2.5)
-        assert abs(objective(state, ds, anchors, cfg) - ref) <= 1e-9 * max(1.0, ref)
+        assert abs(objective(state, ds, a_mats, cfg) - ref) <= 1e-9 * max(1.0, ref)
 
 
 # ---------------------------------------------------------------------------
