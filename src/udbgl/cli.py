@@ -125,8 +125,9 @@ def _write_run_outputs(out_dir, labels, state, cfg, raw, ds, variant, extra_timi
     labels_path.write_text(("%d\n" * len(labels)) % tuple(labels.tolist()), encoding="latin1")
     timings = dict(state.timings)
     timings.update(extra_timings)
+    resolved = {**asdict(cfg), "m": cfg.resolved_m(), "K": cfg.resolved_k()}
     report = {
-        "config": {**raw, "resolved": asdict(cfg)},  # the file's keys, in its order
+        "config": {**raw, "resolved": resolved},  # the file's keys, in its order
         "variant": variant,
         "labels_path": labels_path.name,
         "n": ds.n,

@@ -4,8 +4,6 @@ label extraction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import _row_blocks
@@ -13,7 +11,6 @@ from .numerics import _row_blocks
 __all__ = [
     "EDGE_EPS",
     "DEGREE_FLOOR",
-    "SpectralEmbedding",
     "check_graph",
     "degrees",
     "count_components",
@@ -47,16 +44,6 @@ def check_graph(w, what):
     return w
 
 
-@dataclass
-class SpectralEmbedding:
-    """Stacked embedding of samples (f_n) and anchors (f_m); the stacked
-    matrix has orthonormal columns: f_n^T f_n + f_m^T f_m = I."""
-
-    f_n: np.ndarray
-    f_m: np.ndarray
-    singular_values: np.ndarray
-
-
 def degrees(w):
     """Sample and anchor degree vectors of a bipartite weight matrix.
 
@@ -68,9 +55,9 @@ def degrees(w):
     return d_n, d_m
 
 
-def _components(w, eps):
+def _components(w):
     # (k, comp): the component count and a component id in 0..k-1 for every
-    # node of the (n+m)-node bipartite graph whose edges are entries > eps
+    # node of the (n+m)-node bipartite graph whose edges are entries > EDGE_EPS
     # (sample i is node i, anchor j node n + j). Samples meet only through
     # anchors, so the components are those of the m-node anchor graph that
     # links consecutive anchors of each row; a sample joins its first
@@ -82,7 +69,7 @@ def _components(w, eps):
     adj = np.zeros((m, m), dtype=bool)
     first = np.full(n, -1)  # each sample's first anchor, -1 for none
     for s in _row_blocks(n):
-        rows, cols = divmod(np.flatnonzero(w[s] > eps), m)
+        rows, cols = divmod(np.flatnonzero(w[s] > EDGE_EPS), m)
         lead = np.diff(rows, prepend=-1) != 0  # each row's first edge
         link = ~lead[1:]  # an edge and the next one share a row
         adj[cols[:-1][link], cols[1:][link]] = True
@@ -116,22 +103,22 @@ def _components(w, eps):
     return k + lone.size, comp
 
 
-def count_components(w, eps=EDGE_EPS):
+def count_components(w):
     """Connected components of the (n+m)-node bipartite graph whose edges
-    are entries > eps. Counts every component, including anchor-only ones;
+    are entries > EDGE_EPS. Counts every component, including anchor-only ones;
     equals the multiplicity of eigenvalue 0 of the normalized Laplacian of
     the same thresholded graph."""
-    return _components(w, eps)[0]
+    return _components(w)[0]
 
 
-def sample_component_labels(w, eps=EDGE_EPS):
+def sample_component_labels(w):
     """Component ids of the sample nodes.
 
     Returns (labels, n_sample_components, n_anchor_only). Ids are dense
     0..k-1 assigned in order of each component's smallest sample index.
     """
     n = w.shape[0]
-    k, comp = _components(w, eps)
+    k, comp = _components(w)
     uniq, first = np.unique(comp[:n], return_index=True)
     rank = np.empty(k, dtype=int)
     rank[uniq[np.argsort(first)]] = np.arange(uniq.size)
@@ -160,14 +147,14 @@ def knn_bipartite_init(x, a, k):
     return check_graph(d2, "view graph")
 
 
-def extract_labels(w, eps=EDGE_EPS, *, expected_components):
+def extract_labels(w, *, expected_components):
     """Cluster labels read directly off the consensus graph's components.
 
     Samples sharing a connected component share a label; ids follow each
     component's smallest sample index. A sample-bearing component count
     other than ``expected_components`` raises ValueError.
     """
-    labels, n_sample, _ = sample_component_labels(w, eps)
+    labels, n_sample, _ = sample_component_labels(w)
     if n_sample != expected_components:
         raise ValueError(f"component count mismatch: {n_sample} sample-bearing components, "
                          f"expected {expected_components}")

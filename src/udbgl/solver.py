@@ -16,6 +16,10 @@ an (n, m) bool array, the edge set of the last graph it counted (two while
 an accepted P's edges are compared with it), update_z two (its linear term
 and the new graph; the QP adds two while it scores the warm start at the
 end), objective and update_delta one.
+
+Values between the blocks are plain: the spectral embedding is the triple
+(f_n, f_m, sigma) of update_f, update_p returns (P, gamma), and fit's
+callback gets (stage, state).
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .anchors import build_anchors
 from .dataset import _is_int, normalize
 from .graphs import (
     EDGE_EPS,
-    SpectralEmbedding,
     check_graph,
     count_components,
     degrees,
@@ -53,7 +56,6 @@ __all__ = [
     "RankTargetError",
     "SolverConfig",
     "SolverState",
-    "FitContext",
     "update_p",
     "update_z",
     "update_delta",
@@ -144,16 +146,6 @@ class SolverState:
     timings: dict = field(default_factory=dict)
 
 
-@dataclass
-class FitContext:
-    """What a fit callback needs to recompute anything: the normalized
-    dataset, the per-view anchor arrays, and the config."""
-
-    ds: object
-    anchors: list
-    cfg: SolverConfig
-
-
 def _add_scaled(out, d, w):
     # out += d * w, with the product formed about _BLOCK entries (32 KB) at
     # a time, so a sum of scaled graphs holds one (n, m) array and no more
@@ -172,29 +164,31 @@ def blend(zs, delta):
 
 def update_f(p, c, degs=None):
     """Spectral embedding of a bipartite graph from its top-c singular
-    triplets.
+    triplets; returns (f_n, f_m, sigma).
 
-    With D_n, D_m the (floored) degree diagonals, the embedding stacks
-    F_n = (sqrt(2)/2) U and F_m = (sqrt(2)/2) V where U, V come from the
-    rank-c SVD of D_n^{-1/2} P D_m^{-1/2}. The stacked matrix minimizes
-    the normalized-Laplacian trace over orthonormal c-column matrices; the
-    attained trace equals c - sum(sigma).
+    With D_n, D_m the (floored) degree diagonals, f_n = (sqrt(2)/2) U and
+    f_m = (sqrt(2)/2) V where U, sigma, V come from the rank-c SVD of
+    D_n^{-1/2} P D_m^{-1/2}, so the stacked matrix [f_n; f_m] has
+    orthonormal columns: f_n^T f_n + f_m^T f_m = I. It minimizes the
+    normalized-Laplacian trace over such matrices; the attained trace
+    equals c - sum(sigma).
     """
     d_n, d_m = degrees(p) if degs is None else degs
     mat = p / np.sqrt(d_n)[:, None]
     mat /= np.sqrt(d_m)[None, :]
     u, sigma, v = truncated_svd(mat, c)
     half = np.sqrt(2.0) / 2.0
-    return SpectralEmbedding(half * u, half * v, sigma)
+    return half * u, half * v, sigma
 
 
 def compute_q(emb, d_n, d_m, out=None):
     """Pairwise embedding distances q_ij = ||f_n(i)/sqrt(d_n_i) -
-    f_m(j)/sqrt(d_m_j)||^2; contracting q with P reproduces the Laplacian
-    trace term when the degrees belong to the same P. Written into ``out``
-    when given."""
-    a = emb.f_n / np.sqrt(d_n)[:, None]
-    b = emb.f_m / np.sqrt(d_m)[:, None]
+    f_m(j)/sqrt(d_m_j)||^2 for the triple ``emb`` = (f_n, f_m, sigma) of
+    update_f; contracting q with P reproduces the Laplacian trace term when
+    the degrees belong to the same P. Written into ``out`` when given."""
+    f_n, f_m, _ = emb
+    a = f_n / np.sqrt(d_n)[:, None]
+    b = f_m / np.sqrt(d_m)[:, None]
     return _sqdist(a, b, (a * a).sum(axis=1), out=out)
 
 
@@ -213,9 +207,9 @@ def _fit_term(b, p):
     return np.square(diff, out=diff).sum()
 
 
-def _surrogate(fit_term, emb, gamma, c):
+def _surrogate(fit_term, sigma, gamma, c):
     # ||B - P||_F^2 + gamma tr(F^T L F); the trace term is c - sum(sigma)
-    return float(fit_term + gamma * (c - emb.singular_values.sum()))
+    return float(fit_term + gamma * (c - sigma.sum()))
 
 
 def update_p(b, c, sweep_hook=None):
@@ -235,8 +229,9 @@ def update_p(b, c, sweep_hook=None):
     RankTargetError when gamma leaves [_GAMMA_MIN, _GAMMA_MAX] = [1e-8, 1e8]
     or after _P_SWEEPS (60) sweeps.
 
-    Returns (P, SpectralEmbedding, gamma), P being the accepted (n, m)
-    graph with exactly c components, checked by check_graph.
+    Returns (P, gamma): P is the accepted (n, m) graph with exactly c
+    components, checked by check_graph; it is a new array even when no
+    sweep is accepted, so B is left as it was given.
     """
     b = np.asarray(b, dtype=float)
     gamma = _GAMMA0
@@ -247,25 +242,25 @@ def update_p(b, c, sweep_hook=None):
     # the count depends only on the edge set, so it is redone only when an
     # accepted P's edges differ from those of the last graph counted
     counted = b > EDGE_EPS
-    count = count_components(b, EDGE_EPS)
+    count = count_components(b)
     # q is formed in the array of the last rejected or replaced P, and the
     # candidate P over q, so a sweep holds two (n, m) arrays of its own
     spare = None
     for sweep in range(_P_SWEEPS):
         q = compute_q(emb, *degs, out=spare)
-        before = _surrogate(fit_term, emb, gamma, c)
+        before = _surrogate(fit_term, emb[2], gamma, c)
         p_new = update_p_rows(b, q, gamma, out=q)
         degs_new = degrees(p_new)
         emb_new = update_f(p_new, c, degs_new)
         fit_new = _fit_term(b, p_new)
-        after = _surrogate(fit_new, emb_new, gamma, c)
+        after = _surrogate(fit_new, emb_new[2], gamma, c)
         accepted = after <= before
         if accepted:
             spare = None if p is b else p
             p, degs, emb, fit_term = p_new, degs_new, emb_new, fit_new
             edges = p > EDGE_EPS
             if not np.array_equal(edges, counted):
-                counted, count = edges, count_components(p, EDGE_EPS)
+                counted, count = edges, count_components(p)
         else:
             spare = p_new
         if sweep_hook is not None:
@@ -279,7 +274,7 @@ def update_p(b, c, sweep_hook=None):
                 "candidate_surrogate": after,
             })
         if count == c:
-            return check_graph(p, "consensus graph"), emb, gamma
+            return check_graph(b.copy() if p is b else p, "consensus graph"), gamma
         gamma = gamma * 2.0 if count < c else gamma * 0.5
         if not _GAMMA_MIN <= gamma <= _GAMMA_MAX:
             raise RankTargetError(
@@ -383,8 +378,10 @@ def fit(ds, cfg, variant="full", callback=None, p_sweep_hook=None):
 
     ``variant`` selects an ablation: "knn_fusion_only" freezes Z at the
     K-NN seed, "two_phase" first solves the Z subproblems with beta = 0 and
-    then fuses with Z frozen. ``callback(stage, state, ctx)`` fires after
-    every block update; ``p_sweep_hook`` is forwarded to update_p.
+    then fuses with Z frozen. ``callback(stage, state)`` fires after the
+    initialization ("init") and after every block update ("update_p",
+    "update_z:<v>", "update_delta"); ``p_sweep_hook`` is forwarded to
+    update_p.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
@@ -420,29 +417,28 @@ def fit(ds, cfg, variant="full", callback=None, p_sweep_hook=None):
         gamma=_GAMMA0,
         timings=timings,
     )
-    ctx = FitContext(ds=ds_n, anchors=anchors, cfg=cfg)
     state.objective_trace.append(objective(state, ds_n, anchors, cfg))
     if callback is not None:
-        callback("init", state, ctx)
+        callback("init", state)
 
     per_iter = []
     for it in range(1, cfg.outer_max_iter + 1):
         t_it = time.perf_counter()
         b = blend(state.zs, state.delta)
-        state.p, _, state.gamma = update_p(b, cfg.c, sweep_hook=p_sweep_hook)
+        state.p, state.gamma = update_p(b, cfg.c, sweep_hook=p_sweep_hook)
         if callback is not None:
-            callback("update_p", state, ctx)
+            callback("update_p", state)
 
         if variant == "full":
             for v in range(nviews):
                 state.zs[v] = update_z(v, ds_n.views[v], anchors[v], state.zs,
                                        state.delta, state.p, cfg.alpha, cfg.beta)
                 if callback is not None:
-                    callback(f"update_z:{v}", state, ctx)
+                    callback(f"update_z:{v}", state)
 
         state.delta = update_delta(state.zs, state.p, delta_prev=state.delta)
         if callback is not None:
-            callback("update_delta", state, ctx)
+            callback("update_delta", state)
 
         state.iterations = it
         obj = objective(state, ds_n, anchors, cfg)
@@ -456,7 +452,7 @@ def fit(ds, cfg, variant="full", callback=None, p_sweep_hook=None):
     timings["optimize"] = float(sum(per_iter))
     timings["total"] = time.perf_counter() - t0
     try:
-        labels = extract_labels(state.p, EDGE_EPS, expected_components=cfg.c)
+        labels = extract_labels(state.p, expected_components=cfg.c)
     except ValueError as exc:
         # c total components but some are anchor-only, so the samples split
         # into fewer than c clusters: a solver failure, not a usage error

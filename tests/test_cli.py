@@ -132,6 +132,16 @@ def test_report_echoes_the_config_in_file_order(tmp_path):
     assert list(read_report(out)["config"]) == [*raw, "resolved"]
 
 
+def test_report_resolves_m_and_k(tmp_path):
+    # unset, m reads c and K reads min(5, m): the values the fit used
+    for extra, want in (({}, (3, 3)), ({"m": 10}, (10, 5)), ({"m": 10, "K": 2}, (10, 2))):
+        cfg = write_config(tmp_path, **SYNTH, c=3, **extra)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        resolved = read_report(out)["config"]["resolved"]
+        assert (resolved["m"], resolved["K"]) == want
+
+
 def test_run_out_dir_from_config(tmp_path):
     out = tmp_path / "cfg_out"
     cfg = write_config(tmp_path, out_dir=str(out), **SYNTH)
@@ -489,6 +499,16 @@ def test_readme_lists_the_solver_keys():
         elif not line.startswith("  "):
             break
     assert listed == list(cli._SOLVER_KEYS)
+
+
+def test_readme_library_example_runs():
+    # the python block under "## Library" in README.md, run as written
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=source_env(), timeout=120)
+    assert r.returncode == 0, r.stderr
 
 
 def test_removed_qp_keys_exit_2(tmp_path, capsys):

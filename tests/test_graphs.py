@@ -79,9 +79,9 @@ def test_isolated_anchor_counts_as_component():
 
 def test_edges_at_or_below_eps_are_ignored():
     w = np.array([[1.0 - EDGE_EPS, EDGE_EPS], [0.0, 1.0]])
-    assert count_components(w, EDGE_EPS) == 2
+    assert count_components(w) == 2
     w2 = np.array([[1.0 - 2e-8, 2e-8], [0.0, 1.0]])
-    assert count_components(w2, EDGE_EPS) == 1
+    assert count_components(w2) == 1
 
 
 def anchor_path(rng, m):
@@ -123,10 +123,10 @@ def test_component_count_matches_eigen_oracle():
         n = int(rng.integers(2, 25))
         m = int(rng.integers(1, 9))
         w = random_bipartite(rng, n, m, block=bool(trial % 2))
-        assert count_components(w, EDGE_EPS) == eigen_component_count(w, EDGE_EPS)
+        assert count_components(w) == eigen_component_count(w, EDGE_EPS)
     counts = {}
     for name, w in edge_case_graphs(rng):
-        counts[name] = count_components(w, EDGE_EPS)
+        counts[name] = count_components(w)
         # the oracle sees the edge set at unit weight: a bridge that weighs
         # 1e-8 puts an eigenvalue below its tolerance
         assert counts[name] == eigen_component_count(1.0 * (w > EDGE_EPS), 0.5), name
@@ -187,16 +187,16 @@ def test_sample_labels_match_bfs_oracle():
     seen = []
     for n, m in sizes + [(3000, 30)]:
         w = eps_edged_bipartite(rng, n, m)
-        labels, n_sample, anchor_only = sample_component_labels(w, EDGE_EPS)
+        labels, n_sample, anchor_only = sample_component_labels(w)
         want_labels, want_sample, want_anchor_only = bfs_sample_components(w, EDGE_EPS)
         assert np.array_equal(labels, want_labels)
         assert (n_sample, anchor_only) == (want_sample, want_anchor_only)
-        assert count_components(w, EDGE_EPS) == want_sample + want_anchor_only
+        assert count_components(w) == want_sample + want_anchor_only
         seen += [n_sample > 1, anchor_only > 0]
     assert np.sum(seen[0::2]) >= 20 and np.sum(seen[1::2]) >= 20
     assert n_sample > 1 and anchor_only > 0  # the (3000, 30) case
     for name, w in edge_case_graphs(rng):
-        labels, n_sample, anchor_only = sample_component_labels(w, EDGE_EPS)
+        labels, n_sample, anchor_only = sample_component_labels(w)
         want_labels, want_sample, want_anchor_only = bfs_sample_components(w, EDGE_EPS)
         assert np.array_equal(labels, want_labels), name
         assert (n_sample, anchor_only) == (want_sample, want_anchor_only), name

@@ -39,7 +39,7 @@ def state():
     anchors = build_anchors(ds, M, seed=cfg.seed)
     zs = [knn_bipartite_init(x, a, cfg.resolved_k()) for x, a in zip(ds.views, anchors)]
     delta = np.full(3, 1.0 / 3)
-    p, _, gamma = update_p(blend(zs, delta), cfg.c)
+    p, gamma = update_p(blend(zs, delta), cfg.c)
     return ds, anchors, cfg, SolverState(zs=zs, p=p, delta=delta, gamma=gamma)
 
 

@@ -13,7 +13,6 @@ from udbgl.anchors import build_anchors
 from udbgl.dataset import MultiViewDataset, normalize, synth_blobs
 from udbgl.graphs import (
     EDGE_EPS,
-    SpectralEmbedding,
     count_components,
     knn_bipartite_init,
     sample_component_labels,
@@ -128,20 +127,20 @@ def test_update_f_columns_orthonormal():
     rng = np.random.default_rng(2)
     for _ in range(10):
         p = random_row_stochastic(rng, int(rng.integers(4, 20)), int(rng.integers(2, 6)))
-        emb = update_f(p, 2)
-        gram = emb.f_n.T @ emb.f_n + emb.f_m.T @ emb.f_m
+        f_n, f_m, _ = update_f(p, 2)
+        gram = f_n.T @ f_n + f_m.T @ f_m
         assert np.abs(gram - np.eye(2)).max() <= 1e-8
 
 
 def test_update_f_trace_zero_on_c_component_graph():
-    emb = update_f(TWO_STARS, 2)
-    assert abs(2 - emb.singular_values.sum()) <= 1e-8
+    _, _, sigma = update_f(TWO_STARS, 2)
+    assert abs(2 - sigma.sum()) <= 1e-8
 
 
 def test_update_f_trace_zero_on_identity():
     for c in (1, 2, 3):
-        emb = update_f(np.eye(3), c)
-        assert abs(c - emb.singular_values.sum()) <= 1e-8
+        _, _, sigma = update_f(np.eye(3), c)
+        assert abs(c - sigma.sum()) <= 1e-8
 
 
 def test_update_f_trace_matches_dense_eigensolver():
@@ -151,9 +150,9 @@ def test_update_f_trace_matches_dense_eigensolver():
         m = int(rng.integers(2, 7))
         c = int(rng.integers(1, m + 1))
         p = random_row_stochastic(rng, n, m)
-        emb = update_f(p, c)
+        _, _, sigma = update_f(p, c)
         vals = np.linalg.eigvalsh(dense_bipartite_laplacian(p))
-        assert abs((c - emb.singular_values.sum()) - vals[:c].sum()) <= 1e-6
+        assert abs((c - sigma.sum()) - vals[:c].sum()) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +160,12 @@ def test_update_f_trace_matches_dense_eigensolver():
 
 def test_compute_q_zero_for_matching_rows():
     f = np.array([[0.3, 0.4], [0.1, -0.2], [0.5, 0.0]])
-    emb = SpectralEmbedding(f, f.copy(), np.ones(2))
-    q = compute_q(emb, np.ones(3), np.ones(3))
+    q = compute_q((f, f.copy(), np.ones(2)), np.ones(3), np.ones(3))
     assert np.abs(np.diag(q)).max() <= 1e-15
 
 
 def test_compute_q_orthonormal_rows_give_two():
-    emb = SpectralEmbedding(
+    emb = (
         np.array([[1.0, 0.0], [1.0, 0.0]]),
         np.array([[0.0, 1.0], [0.0, 1.0]]),
         np.ones(2),
@@ -188,7 +186,7 @@ def test_compute_q_contracts_to_trace_term():
         d_n, d_m = np.maximum(p.sum(axis=1), 1e-12), np.maximum(p.sum(axis=0), 1e-12)
         emb = update_f(p, c, (d_n, d_m))
         q = compute_q(emb, d_n, d_m)
-        assert abs((q * p).sum() - (c - emb.singular_values.sum())) <= 1e-8
+        assert abs((q * p).sum() - (c - emb[2].sum())) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +223,29 @@ def test_update_p_rows_matches_projection_oracle():
 # P subproblem
 
 def test_update_p_exits_immediately_when_b_has_c_components():
-    graph, emb, gamma = update_p(TWO_STARS, 2)
+    graph, gamma = update_p(TWO_STARS, 2)
     assert count_components(graph) == 2
     assert gamma == 0.1  # untouched on exit
     assert np.allclose(graph, TWO_STARS, atol=1e-12)
-    assert abs(2 - emb.singular_values.sum()) <= 1e-8
+    _, _, sigma = update_f(graph, 2)
+    assert abs(2 - sigma.sum()) <= 1e-8
+
+
+def test_update_p_leaves_its_input_alone():
+    # B already has c components, so no sweep is accepted; the P returned is
+    # still a checked copy, and B keeps its bytes, rounding noise included
+    b = np.array([[1.0 + 1e-13, -1e-13], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    before = b.copy()
+    graph, _ = update_p(b, 2)
+    assert graph is not b
+    assert b.tobytes() == before.tobytes()
+    assert graph.min() == 0.0 and graph[0, 0] == b[0, 0]
 
 
 def test_update_p_dense_b_single_component():
     rng = np.random.default_rng(8)
     b = random_row_stochastic(rng, 8, 3)
-    graph, _, _ = update_p(b, 1)
+    graph, _ = update_p(b, 1)
     assert count_components(graph) == 1
     assert np.allclose(graph, b, atol=1e-9)
 
@@ -243,10 +253,11 @@ def test_update_p_dense_b_single_component():
 def test_update_p_splits_blob_blend_into_c_components():
     _, _, zs = blob_graphs()
     b = blend(zs, np.array([0.5, 0.5]))
-    graph, emb, gamma = update_p(b, 3)
-    assert count_components(graph, EDGE_EPS) == 3
+    graph, gamma = update_p(b, 3)
+    assert count_components(graph) == 3
     assert eigen_component_count(graph, EDGE_EPS) == 3
-    assert abs(3 - emb.singular_values.sum()) <= 1e-6
+    _, _, sigma = update_f(graph, 3)
+    assert abs(3 - sigma.sum()) <= 1e-6
     assert np.abs(graph.sum(axis=1) - 1.0).max() <= 1e-8
 
 
@@ -276,7 +287,7 @@ def test_update_p_counts_components_only_when_edges_change(monkeypatch):
     ds = synth_blobs(300, 5, 3, noise=0.6, seed=2)
     count_calls, seeds, candidates, rows = [], [], [], []
     monkeypatch.setattr(solver_mod, "count_components",
-                        lambda g, eps: count_calls.append(1) or count_components(g, eps))
+                        lambda g: count_calls.append(1) or count_components(g))
 
     def recording_update_p(b, c, sweep_hook=None):
         seeds.append(b.copy())
@@ -295,9 +306,9 @@ def test_update_p_counts_components_only_when_edges_change(monkeypatch):
     replay, calls = [], iter(seeds)
     for row, p in zip(rows, candidates):
         if row["sweep"] == 0:
-            count = count_components(next(calls), EDGE_EPS)
+            count = count_components(next(calls))
         if row["accepted"]:
-            count = count_components(p, EDGE_EPS)
+            count = count_components(p)
         replay.append(count)
     assert [r["components"] for r in rows] == replay
     every_accepted = len(seeds) + sum(r["accepted"] for r in rows)
@@ -589,7 +600,7 @@ def test_fit_deterministic():
 def test_fit_callback_stage_order():
     ds = synth_blobs(30, 2, 2, noise=0.1, seed=4)
     stages = []
-    fit(ds, SolverConfig(c=2), callback=lambda stage, state, ctx: stages.append(stage))
+    fit(ds, SolverConfig(c=2), callback=lambda stage, state: stages.append(stage))
     assert stages[0] == "init"
     per_iter = ["update_p", "update_z:0", "update_z:1", "update_delta"]
     body = stages[1:]
@@ -617,7 +628,7 @@ def test_fit_knn_fusion_only_keeps_seed_graphs():
     ds = synth_blobs(40, 2, 2, noise=0.1, seed=5)
     seen = []
     fit(ds, SolverConfig(c=2, m=6, K=3), variant="knn_fusion_only",
-        callback=lambda stage, state, ctx: seen.append(stage))
+        callback=lambda stage, state: seen.append(stage))
     assert not any(s.startswith("update_z") for s in seen)
 
 
@@ -652,3 +663,38 @@ def test_fit_ends_labeled_or_typed_for_any_regularization(log_alpha, log_beta):
         return
     assert len(np.unique(labels)) == 3
     assert np.all(np.isfinite(state.objective_trace))
+
+
+def _duplicated(ds):
+    return MultiViewDataset([np.concatenate([x, x], axis=1) for x in ds.views],
+                            np.concatenate([ds.labels, ds.labels]))
+
+
+IDENTICAL = [np.ones((3, 12)), np.full((2, 12), 0.5)]
+EDGE_INPUTS = {
+    "c=1, m=5": (lambda: synth_blobs(30, 1, 2, seed=0), dict(c=1, m=5)),
+    "c=1, m=1": (lambda: synth_blobs(30, 1, 2, seed=0), dict(c=1, m=1)),
+    "identical points, c=2": (lambda: MultiViewDataset(IDENTICAL), dict(c=2)),
+    "identical points, c=1": (lambda: MultiViewDataset(IDENTICAL), dict(c=1)),
+    "duplicated points": (lambda: _duplicated(synth_blobs(30, 3, 2, seed=0)), dict(c=3, m=10)),
+    "1-d views": (lambda: synth_blobs(30, 3, 2, dims=[1, 1], seed=0), dict(c=3, m=6)),
+    "m=n": (lambda: synth_blobs(12, 3, 2, seed=0), dict(c=3, m=12)),
+    "m=c, K=m": (lambda: synth_blobs(30, 3, 2, seed=0), dict(c=3, m=3, K=3)),
+    "one-sample cluster beside a two-sample one": (
+        lambda: MultiViewDataset([np.array([[0.0, 0.1, 5.0], [0.0, 0.2, 5.0]]),
+                                  np.array([[1.0, 1.1, -4.0]])]), dict(c=2)),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_INPUTS))
+def test_fit_ends_labeled_or_typed_on_edge_inputs(name):
+    # every valid input ends in exactly c sample-bearing components and no
+    # anchor-only one, labeled 0..c-1, or in a typed solver error
+    make, kwargs = EDGE_INPUTS[name]
+    cfg = SolverConfig(**kwargs)
+    try:
+        labels, state = fit(make(), cfg)
+    except (RankTargetError, QPConvergenceError):
+        return
+    assert np.array_equal(np.unique(labels), np.arange(cfg.c))
+    assert sample_component_labels(state.p)[1:] == (cfg.c, 0)
