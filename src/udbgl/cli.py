@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-_SOLVER_KEYS = ("c", "alpha", "beta", "m", "K", "outer_max_iter", "outer_tol", "seed")
+_SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
 _TOP_KEYS = set(_SOLVER_KEYS) | {"manifest", "synth", "out_dir", "dump_consensus", "grid"}
 
 
@@ -93,14 +93,14 @@ def _dataset_from_config(raw, base):
 
 
 def _solver_config(raw, ds):
-    fields = {k: raw[k] for k in _SOLVER_KEYS if k in raw}
-    if "c" not in fields:
+    given = {k: raw[k] for k in _SOLVER_KEYS if k in raw}
+    if "c" not in given:
         if "synth" in raw and isinstance(raw["synth"], dict) and "c" in raw["synth"]:
-            fields["c"] = raw["synth"]["c"]
+            given["c"] = raw["synth"]["c"]
         else:
             raise ConfigError("config must set 'c'")
     try:
-        cfg = SolverConfig(**fields)
+        cfg = SolverConfig(**given)
         cfg.validate(n=ds.n)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -110,8 +110,8 @@ def load_views(manifest_path):
     return MultiViewDataset(arrays, labels)
 
 
-def write_views(ds, out_dir, delimiter=","):
-    """Write ``ds`` under ``out_dir`` as view CSVs plus a manifest.
+def write_views(ds, out_dir):
+    """Write ``ds`` under ``out_dir`` as comma-separated view CSVs and a manifest.
 
     Values are printed with %.17g so finite doubles round-trip exactly
     through load_views.  Returns the manifest path.
@@ -121,9 +121,9 @@ def write_views(ds, out_dir, delimiter=","):
     names = []
     for v, x in enumerate(ds.views):
         name = f"view_{v}.csv"
-        np.savetxt(out_dir / name, x.T, delimiter=delimiter, fmt="%.17g")
+        np.savetxt(out_dir / name, x.T, delimiter=",", fmt="%.17g")
         names.append(name)
-    manifest = {"views": names, "labels": None, "delimiter": delimiter}
+    manifest = {"views": names, "labels": None, "delimiter": ","}
     if ds.labels is not None:
         np.savetxt(out_dir / "labels.csv", ds.labels, fmt="%d")
         manifest["labels"] = "labels.csv"

@@ -27,20 +27,19 @@ DEGREE_FLOOR = 1e-12  # guards inverse square roots of degrees
 def check_graph(w, what):
     """Check that ``w`` is a row-stochastic (n, m) graph and return it.
 
-    Raises ValueError unless ``w`` is 2-d and finite, no entry is below
-    -1e-12 and every row sums to 1 within 1e-8; then clamps the -1e-12..0
-    rounding noise to 0 in place. ``what`` names the graph in the messages.
+    Raises ValueError unless ``w`` is 2-d and finite, no entry is negative
+    and every row sums to 1 within 1e-8; ``w`` itself is never written.
+    ``what`` names the graph in the messages.
     """
     if w.ndim != 2:
         raise ValueError(f"{what} must be 2-d")
     if not np.all(np.isfinite(w)):
         raise ValueError(f"non-finite weight in {what}")
-    if w.min() < -1e-12:
+    if w.min() < 0.0:
         raise ValueError(f"negative weight {w.min():.3e} in {what}")
     dev = np.abs(w.sum(axis=1) - 1.0).max()
     if dev > 1e-8:
         raise ValueError(f"{what} rows must sum to 1 (max deviation {dev:.3e})")
-    np.maximum(w, 0.0, out=w)
     return w
 
 

@@ -325,6 +325,8 @@ def _newton_direction(S, B, outer, rho, G):
     # product is subtracted one row of each k x k matrix at a time, so the
     # (rows, k, k) batch is the only array of its size
     k = len(B)
+    if k == 0:  # B is empty, and so is the direction
+        return np.zeros_like(G)
     Sf = S.astype(float)
     bs = (Sf @ B.T) / np.sqrt(rho * Sf.sum(axis=1))[:, None]
     J = (Sf @ outer).reshape(len(S), k, k)

@@ -201,12 +201,6 @@ def update_p_rows(b, q, gamma, out=None):
     return project_rows_onto_simplex(v, out=v)
 
 
-def _fit_term(b, p):
-    # ||B - P||_F^2 in one (n, m) array, released on return
-    diff = b - p
-    return np.square(diff, out=diff).sum()
-
-
 def _surrogate(fit_term, sigma, gamma, c):
     # ||B - P||_F^2 + gamma tr(F^T L F); the trace term is c - sum(sigma)
     return float(fit_term + gamma * (c - sigma.sum()))
@@ -252,7 +246,7 @@ def update_p(b, c, sweep_hook=None):
         p_new = update_p_rows(b, q, gamma, out=q)
         degs_new = degrees(p_new)
         emb_new = update_f(p_new, c, degs_new)
-        fit_new = _fit_term(b, p_new)
+        fit_new = _sum_sq_diff(b, p_new.copy())  # ||B - P||^2
         after = _surrogate(fit_new, emb_new[2], gamma, c)
         accepted = after <= before
         if accepted:
@@ -325,15 +319,15 @@ def update_z(v, x, a, zs, delta, p, alpha, beta):
     return check_graph(znew, "view graph")
 
 
-def update_delta(zs, p, delta_prev=None):
+def update_delta(zs, p):
     """Adaptive view weights: minimize ||sum_v delta_v Z_v - P||_F^2 over
     the simplex.
 
     The QP data never materializes the stacked nm x V matrix: H is the
     V x V Gram of the vectorized graphs, f_v = 2 <Z_v, P>_F. H is singular
-    when two views carry the same graph. The solve is warm-started at
-    1/V; a ``delta_prev`` that scores better than the solve is kept, so
-    the blend penalty never increases across outer iterations.
+    when two views carry the same graph. The solve, warm-started at 1/V,
+    is exact and KKT-certified, so it scores no worse than the previous
+    weights and the blend penalty never increases across outer iterations.
     """
     nviews = len(zs)
     buf = np.empty_like(p)  # every product below, each summed in one pass
@@ -342,12 +336,7 @@ def update_delta(zs, p, delta_prev=None):
         for j in range(i, nviews):
             h[i, j] = h[j, i] = float(np.multiply(zs[i], zs[j], out=buf).sum())
     f = np.array([2.0 * float(np.multiply(w, p, out=buf).sum()) for w in zs])
-    delta = solve_simplex_qp_rows(h, f[None, :], np.full((1, nviews), 1.0 / nviews))[0]
-    if delta_prev is not None:
-        prev = np.asarray(delta_prev, dtype=float)
-        if prev @ h @ prev - prev @ f < delta @ h @ delta - delta @ f:
-            return prev.copy()
-    return delta
+    return solve_simplex_qp_rows(h, f[None, :], np.full((1, nviews), 1.0 / nviews))[0]
 
 
 def objective(state, ds, anchors, cfg):
@@ -436,7 +425,7 @@ def fit(ds, cfg, variant="full", callback=None, p_sweep_hook=None):
                 if callback is not None:
                     callback(f"update_z:{v}", state)
 
-        state.delta = update_delta(state.zs, state.p, delta_prev=state.delta)
+        state.delta = update_delta(state.zs, state.p)
         if callback is not None:
             callback("update_delta", state)
 

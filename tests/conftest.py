@@ -65,12 +65,14 @@ def acc_by_enumeration(pred, truth, counts):
 
 
 def eigen_component_count(w, eps=1e-8, eig_tol=1e-6):
-    """Connected components of the (n+m)-node bipartite graph via the
-    spectrum of its normalized Laplacian: the multiplicity of eigenvalue 0
-    on the positive-degree subgraph, plus one per isolated vertex."""
+    """Connected components of the (n+m)-node bipartite graph whose edges
+    are the entries > eps, via the spectrum of its normalized Laplacian:
+    the multiplicity of eigenvalue 0 on the positive-degree subgraph, plus
+    one per isolated vertex. Edges count at unit weight, so a bridge of
+    weight near eps leaves no eigenvalue near 0."""
     w = np.asarray(w, dtype=float)
     n, m = w.shape
-    keep = np.where(w > eps, w, 0.0)
+    keep = (w > eps).astype(float)
     s = np.zeros((n + m, n + m))
     s[:n, n:] = keep
     s[n:, :n] = keep.T

@@ -181,6 +181,8 @@ def test_run_out_dir_from_config(tmp_path):
                  id="decimal-1e400"),
     pytest.param('{"synth": {"n": 60, "c": 3, "views": 2}, "alpha": 1%s}' % ("0" * 400),
                  id="integer-1e400"),
+    # valid JSON, but not an object
+    pytest.param('[{"synth": {"n": 60, "c": 3, "views": 2}}]', id="not-an-object"),
 ])
 def test_bad_configs_exit_2(tmp_path, capsys, raw):
     if isinstance(raw, str):
@@ -219,6 +221,25 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+
+
+def test_manifest_config_without_c_exits_2(tmp_path, capsys):
+    main(["synth", "--n", "30", "--c", "3", "--views", "1", "--out", str(tmp_path / "d")])
+    capsys.readouterr()
+    cfg = write_config(tmp_path, manifest="d/manifest.json")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "error: config must set 'c'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # numpy's loadtxt "no data" notice
+def test_empty_view_file_exits_2(tmp_path, capsys):
+    (tmp_path / "v.csv").write_text("")
+    (tmp_path / "manifest.json").write_text(json.dumps({"views": ["v.csv"]}))
+    cfg = write_config(tmp_path, manifest="manifest.json", c=2)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "empty view file" in capsys.readouterr().err
 
 
 def test_synth_bad_dims_exits_2(tmp_path, capsys):
@@ -263,6 +284,17 @@ def test_unreachable_rank_target_exits_3(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_SOLVER
     assert "solver failure: gamma" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_anchor_only_component_exits_3(tmp_path, capsys):
+    # with K = 1 an anchor can be left without samples: update_p reaches 3
+    # components of which one holds no sample, and fit raises for it
+    cfg = write_config(tmp_path, manifest=one_point_manifest(tmp_path), c=3, m=3, K=1)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_SOLVER
+    assert ("solver failure: component count mismatch: 2 sample-bearing components, "
+            "expected 3") in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 

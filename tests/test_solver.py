@@ -20,6 +20,7 @@ from udbgl.graphs import (
 from udbgl.metrics import nmi
 from udbgl.numerics import QPConvergenceError
 from udbgl.solver import (
+    VARIANTS,
     RankTargetError,
     SolverConfig,
     blend,
@@ -232,11 +233,15 @@ def test_update_p_exits_immediately_when_b_has_c_components():
 
 
 def test_update_p_leaves_its_input_alone():
-    # B already has c components, so no sweep is accepted; the P returned is
-    # still a checked copy, and B keeps its bytes, rounding noise included
-    b = np.array([[1.0 + 1e-13, -1e-13], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    # B already has c components (anchor 0 alone is one of them) and its one
+    # sweep is rejected; the P returned is still a checked copy, and B,
+    # passed read-only, keeps its bytes
+    b = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.25, 0.75]])
     before = b.copy()
-    graph, _ = update_p(b, 2)
+    b.setflags(write=False)
+    sweeps = []
+    graph, _ = update_p(b, 2, sweep_hook=sweeps.append)
+    assert [s["accepted"] for s in sweeps] == [False]
     assert graph is not b
     assert b.tobytes() == before.tobytes()
     assert graph.min() == 0.0 and graph[0, 0] == b[0, 0]
@@ -491,11 +496,9 @@ def test_update_delta_identical_views_singular_gram():
         p = random_row_stochastic(rng, 6, 3)
         other = random_row_stochastic(rng, 6, 3)
         for mats in ([z, z], [z, z, other]):
-            zs = [m.copy() for m in mats]
-            for prev in (None, np.full(len(mats), 1.0 / len(mats))):
-                out = update_delta(zs, p, delta_prev=prev)
-                assert np.all(np.isfinite(out)) and out.min() >= 0.0
-                assert abs(out.sum() - 1.0) <= 1e-12
+            out = update_delta([m.copy() for m in mats], p)
+            assert np.all(np.isfinite(out)) and out.min() >= 0.0
+            assert abs(out.sum() - 1.0) <= 1e-12
 
 
 def test_update_delta_never_worse_than_previous():
@@ -506,7 +509,7 @@ def test_update_delta_never_worse_than_previous():
         mats = [random_row_stochastic(rng, 5, 3) for _ in range(3)]
         p = random_row_stochastic(rng, 5, 3)
         prev = projection_oracle(rng.standard_normal(3))
-        out = update_delta(mats, p, delta_prev=prev)
+        out = update_delta(mats, p)
         assert fusion(out, mats, p) <= fusion(prev, mats, p) + 1e-12
 
 
@@ -646,19 +649,22 @@ EXTREME_BLOBS = synth_blobs(40, 3, 2, noise=0.1, seed=0)
 
 
 @settings(max_examples=40, deadline=None)
-@given(log_alpha=st.floats(-300.0, 308.0), log_beta=st.floats(-300.0, 308.0))
-@example(log_alpha=308.0, log_beta=0.0)
-@example(log_alpha=0.0, log_beta=308.0)
-@example(log_alpha=307.7, log_beta=0.0)
-def test_fit_ends_labeled_or_typed_for_any_regularization(log_alpha, log_beta):
+@given(log_alpha=st.floats(-300.0, 308.0), log_beta=st.floats(-300.0, 308.0),
+       variant=st.sampled_from(VARIANTS))
+@example(log_alpha=308.0, log_beta=0.0, variant="full")
+@example(log_alpha=0.0, log_beta=308.0, variant="full")
+@example(log_alpha=307.7, log_beta=0.0, variant="full")
+@example(log_alpha=307.7, log_beta=0.0, variant="two_phase")
+def test_fit_ends_labeled_or_typed_for_any_regularization(log_alpha, log_beta, variant):
     # alpha, beta log-uniform over [1e-300, 1e308]: near the top the QP data
     # or the objective overflow float64, which must end in a typed error; the
     # pinned examples are such edges (2H and the seed objective, F, and an
-    # objective that overflows while the QP data stays finite)
+    # objective that overflows while the QP data stays finite; under
+    # two_phase, a QP whose H - rho I is zero, so its dual has no dimension)
     cfg = SolverConfig(c=3, alpha=10.0 ** log_alpha, beta=10.0 ** log_beta,
                        m=8, outer_max_iter=5)
     try:
-        labels, state = fit(EXTREME_BLOBS, cfg)
+        labels, state = fit(EXTREME_BLOBS, cfg, variant=variant)
     except (RankTargetError, QPConvergenceError):
         return
     assert len(np.unique(labels)) == 3
