@@ -214,21 +214,19 @@ def _subsample(ds, cap, seed):
 
 def _grid_cell(task):
     raw, cell, ds = task
-    merged = {k: v for k, v in raw.items() if k not in ("grid", "out_dir")}
-    merged.update(cell)
     row = dict(cell)
     if cell["m"] > ds.n:
         row.update({"skipped": f"m={cell['m']} exceeds n={ds.n}"})
         return row
     try:
-        cfg = _solver_config(merged, ds)
+        cfg = _solver_config({**raw, **cell}, ds)
         labels, state = fit(ds, cfg)
         row.update({
             "metrics": _metrics_block(labels, ds.labels),
             "objective": float(state.objective_trace[-1]),
             "iterations": state.iterations,
         })
-    except (ConfigError, RankTargetError, QPConvergenceError, ValueError) as exc:
+    except (ConfigError, RankTargetError, QPConvergenceError) as exc:
         row.update({"error": str(exc)})
     return row
 

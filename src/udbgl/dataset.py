@@ -136,12 +136,17 @@ def write_views(ds, out_dir):
 def normalize(ds):
     """Return a copy of ``ds`` with every feature (row) of every view
     min-max scaled onto [0, 1]. Constant features become all zeros, and
-    the scaling is idempotent. Each view is scaled in the one array that
-    is returned."""
+    the scaling is idempotent. A feature whose range hi - lo exceeds the
+    float maximum is scaled by halves, (x/2 - lo/2) / (hi/2 - lo/2), which
+    is exact for normal doubles. Each view is scaled in the one array that
+    is returned, and in one more when a range is that wide."""
     out = []
     for x in ds.views:
-        lo = x.min(axis=1, keepdims=True)
-        span = x.max(axis=1, keepdims=True) - lo
+        lo, hi = x.min(axis=1, keepdims=True), x.max(axis=1, keepdims=True)
+        half = np.where(hi / 2 - lo / 2 > np.finfo(float).max / 2, 0.5, 1.0)
+        if (half < 1.0).any():  # hi - lo would overflow
+            x, lo, hi = x * half, lo * half, hi * half
+        span = hi - lo
         y = np.subtract(x, lo)
         y /= np.where(span > 0, span, 1.0)
         y[span[:, 0] <= 0] = 0.0  # +0.0, also where a constant row mixes -0.0 and 0.0

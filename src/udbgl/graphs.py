@@ -14,7 +14,6 @@ __all__ = [
     "check_graph",
     "degrees",
     "count_components",
-    "sample_component_labels",
     "knn_bipartite_init",
     "extract_labels",
     "dump_graph_csv",
@@ -110,20 +109,6 @@ def count_components(w):
     return _components(w)[0]
 
 
-def sample_component_labels(w):
-    """Component ids of the sample nodes.
-
-    Returns (labels, n_sample_components, n_anchor_only). Ids are dense
-    0..k-1 assigned in order of each component's smallest sample index.
-    """
-    n = w.shape[0]
-    k, comp = _components(w)
-    uniq, first = np.unique(comp[:n], return_index=True)
-    rank = np.empty(k, dtype=int)
-    rank[uniq[np.argsort(first)]] = np.arange(uniq.size)
-    return rank[comp[:n]], uniq.size, k - uniq.size
-
-
 def knn_bipartite_init(x, a, k):
     """K-NN bipartite graph: each sample puts weight 1/K on its K nearest
     anchors (Euclidean); distance ties resolve to the lower anchor index."""
@@ -146,18 +131,19 @@ def knn_bipartite_init(x, a, k):
     return check_graph(d2, "view graph")
 
 
-def extract_labels(w, *, expected_components):
-    """Cluster labels read directly off the consensus graph's components.
+def extract_labels(w):
+    """Cluster labels read directly off the graph's connected components.
 
-    Samples sharing a connected component share a label; ids follow each
-    component's smallest sample index. A sample-bearing component count
-    other than ``expected_components`` raises ValueError.
+    Samples sharing a component share a label; ids run 0..k-1 in order of
+    each component's smallest sample index, so k = labels.max() + 1 is the
+    number of sample-bearing components (anchor-only ones take no id).
     """
-    labels, n_sample, _ = sample_component_labels(w)
-    if n_sample != expected_components:
-        raise ValueError(f"component count mismatch: {n_sample} sample-bearing components, "
-                         f"expected {expected_components}")
-    return labels
+    n = w.shape[0]
+    k, comp = _components(w)
+    uniq, first = np.unique(comp[:n], return_index=True)
+    rank = np.empty(k, dtype=int)
+    rank[uniq[np.argsort(first)]] = np.arange(uniq.size)
+    return rank[comp[:n]]
 
 
 def dump_graph_csv(w, path):

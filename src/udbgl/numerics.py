@@ -328,7 +328,10 @@ def _newton_direction(S, B, outer, rho, G):
     if k == 0:  # B is empty, and so is the direction
         return np.zeros_like(G)
     Sf = S.astype(float)
-    bs = (Sf @ B.T) / np.sqrt(rho * Sf.sum(axis=1))[:, None]
+    size = Sf.sum(axis=1)  # at most m, so rho * size is finite below the bound
+    scale = (np.sqrt(rho * size) if rho <= np.finfo(float).max / S.shape[1]
+             else np.sqrt(rho) * np.sqrt(size))
+    bs = (Sf @ B.T) / scale[:, None]
     J = (Sf @ outer).reshape(len(S), k, k)
     del Sf  # (rows, m): not needed beside J
     for i in range(k):

@@ -128,7 +128,7 @@ class SolverConfig:
         if not 1 <= k <= m:
             raise ValueError(f"K={k} must lie in [1, m={m}]")
         if self.outer_max_iter < 1:
-            raise ValueError("iteration caps must be positive")
+            raise ValueError("outer_max_iter must be positive")
 
 
 @dataclass
@@ -363,7 +363,9 @@ def fit(ds, cfg, variant="full", callback=None, p_sweep_hook=None):
     alternate update_p, update_z per view, and update_delta until the
     relative objective change drops below outer_tol or outer_max_iter is
     reached. Labels come straight from the consensus graph's connected
-    components.
+    components (graphs.extract_labels); RankTargetError is raised when
+    they number other than c, as when one of P's c components is
+    anchor-only.
 
     ``variant`` selects an ablation: "knn_fusion_only" freezes Z at the
     K-NN seed, "two_phase" first solves the Z subproblems with beta = 0 and
@@ -440,10 +442,11 @@ def fit(ds, cfg, variant="full", callback=None, p_sweep_hook=None):
     timings["outer_iterations"] = per_iter
     timings["optimize"] = float(sum(per_iter))
     timings["total"] = time.perf_counter() - t0
-    try:
-        labels = extract_labels(state.p, expected_components=cfg.c)
-    except ValueError as exc:
-        # c total components but some are anchor-only, so the samples split
+    labels = extract_labels(state.p)
+    k = labels.max() + 1
+    if k != cfg.c:
+        # c components in all, but some are anchor-only, so the samples split
         # into fewer than c clusters: a solver failure, not a usage error
-        raise RankTargetError(str(exc)) from exc
+        raise RankTargetError(f"component count mismatch: {k} sample-bearing components, "
+                              f"expected {cfg.c}")
     return labels, state

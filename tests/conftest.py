@@ -115,6 +115,15 @@ def random_bipartite(rng, n, m, density=0.3, block=False):
     return w
 
 
+def wide_feature_view():
+    """A (3, 30) view whose first feature is 1e308 on samples 0-14 and
+    -1e308 on the rest, so its range hi - lo passes the float maximum,
+    beside two uniform features."""
+    x = np.random.default_rng(0).random((3, 30))
+    x[0] = np.where(np.arange(30) < 15, 1e308, -1e308)
+    return x
+
+
 def source_env(**extra):
     """Environment whose import path resolves ``udbgl`` to the tested
     source, with ``extra`` variables set on top."""

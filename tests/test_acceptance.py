@@ -22,7 +22,7 @@ from conftest import (
 
 import udbgl.solver as solver_mod
 from udbgl.dataset import synth_blobs
-from udbgl.graphs import EDGE_EPS, count_components, sample_component_labels
+from udbgl.graphs import EDGE_EPS, count_components, extract_labels
 from udbgl.metrics import acc, contingency, nmi, purity
 from udbgl.numerics import project_rows_onto_simplex, solve_simplex_qp_rows
 from udbgl.solver import SolverConfig, fit, objective, update_f
@@ -45,8 +45,8 @@ def test_criterion_01_synthetic_recovery():
         ds = synth_blobs(seed=seed, **BLOBS)
         labels, state = fit(ds, SolverConfig(c=3, seed=seed))
         scores.append(nmi(labels, ds.labels))
-        _, n_sample, anchor_only = sample_component_labels(state.p)
-        totals.append((n_sample, n_sample + anchor_only))
+        n_sample = int(extract_labels(state.p).max()) + 1
+        totals.append((n_sample, count_components(state.p)))
     elapsed = time.perf_counter() - t0
     mean_nmi = float(np.mean(scores))
     assert mean_nmi >= 0.95, f"mean NMI {mean_nmi:.4f} < 0.95 (per-seed {scores})"

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import eigen_component_count, source_env
+from conftest import eigen_component_count, source_env, wide_feature_view
 
 from udbgl.cli import (
     EXIT_CONFIG,
@@ -629,6 +629,21 @@ def test_grid_without_labels_ranks_by_objective(tmp_path):
     report = json.loads((out / "grid_report.json").read_text())
     done = [r for r in report["cells"] if "objective" in r]
     assert report["best"]["objective"] == min(r["objective"] for r in done)
+
+
+@pytest.mark.parametrize("command", ["run", "grid"])
+def test_feature_range_beyond_the_float_maximum_exits_0(tmp_path, command):
+    # a finite view whose min-max range overflows float64 clusters like any
+    # other, under run and under every grid cell
+    from udbgl.dataset import MultiViewDataset, write_views
+    write_views(MultiViewDataset([wide_feature_view()]), tmp_path / "wide")
+    cfg = write_config(tmp_path, manifest="wide/manifest.json", c=2,
+                       grid={"alpha": [1.0, 0.1], "beta": [1.0], "m": [2]})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+    if command == "grid":
+        cells = json.loads((out / "grid_report.json").read_text())["cells"]
+        assert all("objective" in row for row in cells)
 
 
 def test_grid_all_cells_failing_exits_3(tmp_path, capsys):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import wide_feature_view
 
 from udbgl.dataset import MultiViewDataset, load_views, normalize, synth_blobs, write_views
 
@@ -133,6 +134,18 @@ def test_normalize_matches_the_out_of_place_expression_bit_for_bit():
         got = normalize(MultiViewDataset([x])).views[0]
         assert got.tobytes() == want.tobytes()
         assert not np.signbit(got[1:4]).any()
+
+
+def test_feature_range_beyond_the_float_maximum_maps_into_unit_interval():
+    # hi - lo overflows for a feature spanning -1e308..1e308: that row is
+    # scaled by halves, exactly, and the other rows as always
+    x = wide_feature_view()
+    x[0, 20] = 0.0
+    got = normalize(MultiViewDataset([x])).views[0]
+    want = np.where(np.arange(30) < 15, 1.0, 0.0)
+    want[20] = 0.5
+    assert np.array_equal(got[0], want)
+    assert got[1:].tobytes() == normalize(MultiViewDataset([x[1:]])).views[0].tobytes()
 
 
 def test_normalize_does_not_mutate_input():

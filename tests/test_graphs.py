@@ -10,10 +10,17 @@ from udbgl.graphs import (
     dump_graph_csv,
     extract_labels,
     knn_bipartite_init,
-    sample_component_labels,
 )
 
 TWO_STARS = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+
+
+def labels_and_counts(w):
+    # extract_labels' labels with the sample-bearing component count they
+    # imply and the anchor-only count left over from count_components
+    labels = extract_labels(w)
+    n_sample = int(labels.max()) + 1
+    return labels, n_sample, count_components(w) - n_sample
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +81,7 @@ def test_uniform_graph_is_one_component():
 def test_isolated_anchor_counts_as_component():
     w = np.array([[1.0, 0.0], [1.0, 0.0]])  # anchor 1 has no edges
     assert count_components(w) == 2
-    labels, n_sample, anchor_only = sample_component_labels(w)
+    labels, n_sample, anchor_only = labels_and_counts(w)
     assert np.array_equal(labels, [0, 0])
     assert n_sample == 1 and anchor_only == 1
 
@@ -138,7 +145,7 @@ def test_sample_labels_follow_smallest_sample_index():
     # sample 0 joins anchor 1, sample 1 joins anchor 0: component of sample 0
     # must get label 0 regardless of anchor numbering
     w = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-    labels, n_sample, anchor_only = sample_component_labels(w)
+    labels, n_sample, anchor_only = labels_and_counts(w)
     assert np.array_equal(labels, [0, 1, 0])
     assert n_sample == 2 and anchor_only == 0
 
@@ -187,7 +194,7 @@ def test_sample_labels_match_bfs_oracle():
     seen = []
     for n, m in sizes + [(3000, 30)]:
         w = eps_edged_bipartite(rng, n, m)
-        labels, n_sample, anchor_only = sample_component_labels(w)
+        labels, n_sample, anchor_only = labels_and_counts(w)
         want_labels, want_sample, want_anchor_only = bfs_sample_components(w, EDGE_EPS)
         assert np.array_equal(labels, want_labels)
         assert (n_sample, anchor_only) == (want_sample, want_anchor_only)
@@ -196,7 +203,7 @@ def test_sample_labels_match_bfs_oracle():
     assert np.sum(seen[0::2]) >= 20 and np.sum(seen[1::2]) >= 20
     assert n_sample > 1 and anchor_only > 0  # the (3000, 30) case
     for name, w in edge_case_graphs(rng):
-        labels, n_sample, anchor_only = sample_component_labels(w)
+        labels, n_sample, anchor_only = labels_and_counts(w)
         want_labels, want_sample, want_anchor_only = bfs_sample_components(w, EDGE_EPS)
         assert np.array_equal(labels, want_labels), name
         assert (n_sample, anchor_only) == (want_sample, want_anchor_only), name
@@ -246,25 +253,20 @@ def test_knn_rejects_bad_k():
 # label extraction
 
 def test_extract_labels_two_components():
-    assert np.array_equal(extract_labels(TWO_STARS, expected_components=2), [0, 0, 1, 1])
+    assert np.array_equal(extract_labels(TWO_STARS), [0, 0, 1, 1])
 
 
 def test_extract_labels_single_component_is_zeros():
     w = np.full((4, 2), 0.5)
-    assert np.array_equal(extract_labels(w, expected_components=1), np.zeros(4))
-
-
-def test_extract_labels_mismatch_raises():
-    with pytest.raises(ValueError, match="component count mismatch"):
-        extract_labels(TWO_STARS, expected_components=3)
+    assert np.array_equal(extract_labels(w), np.zeros(4))
 
 
 def test_extract_labels_nets_out_anchor_only_components():
     w = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    # 2 sample-bearing components + 1 isolated anchor
-    assert np.array_equal(extract_labels(w, expected_components=2), [0, 0, 1])
-    with pytest.raises(ValueError, match="component count mismatch"):
-        extract_labels(w, expected_components=3)
+    # 2 sample-bearing components + 1 isolated anchor, which takes no label;
+    # fit raises for such a graph when c = 3 (tests/test_solver.py)
+    assert np.array_equal(extract_labels(w), [0, 0, 1])
+    assert count_components(w) == 3
 
 
 def test_extract_labels_invariant_to_positive_row_rescaling():
@@ -274,10 +276,9 @@ def test_extract_labels_invariant_to_positive_row_rescaling():
         w = random_bipartite(rng, 12, 4, block=True)
         w = w + 1e-6  # keep rows nonzero
         w = w / w.sum(axis=1, keepdims=True)
-        k = sample_component_labels(w)[1]
-        base = extract_labels(w, expected_components=k)
+        base = extract_labels(w)
         scaled = w * rng.uniform(0.5, 2.0, size=(12, 1))
-        assert np.array_equal(extract_labels(scaled, expected_components=k), base)
+        assert np.array_equal(extract_labels(scaled), base)
 
 
 def test_dump_graph_round_trips(tmp_path):

@@ -553,6 +553,25 @@ def test_solve_tiny_definite_hessian_with_large_f(scale):
     assert np.all(kkt_residual(H, F, x) <= numerics.KKT_TOL)
 
 
+@pytest.mark.parametrize("h00", [5.5e307, 6e307, 7e307, 8e307])
+def test_solve_near_the_float_limit_with_a_one_row_dual(h00):
+    # H = 5e307 I but for one larger diagonal entry: rho = 5e307 and B has
+    # one row (k = 1), and rho |S| passes the float maximum in the Newton
+    # step. The call returns a certified point, or at 5.5e307, where the
+    # roundoff of 1e307-sized data leaves the KKT residual at 2.5e291,
+    # raises the typed error
+    H = 5e307 * np.eye(8)
+    H[0, 0] = h00
+    F = np.random.default_rng(1).random((4, 8))
+    x0 = np.full((4, 8), 1 / 8)
+    if h00 == 5.5e307:
+        with pytest.raises(QPConvergenceError, match="KKT residual"):
+            solve_simplex_qp_rows(H, F, x0)
+        return
+    x = solve_simplex_qp_rows(H, F, x0)
+    assert np.all(kkt_residual(H, F, x) <= numerics.KKT_TOL)
+
+
 def test_batched_rows_match_single_solves():
     rng = np.random.default_rng(14)
     a = rng.standard_normal((4, 4))

@@ -6,6 +6,7 @@ from conftest import (
     dense_bipartite_laplacian,
     eigen_component_count,
     projection_oracle,
+    wide_feature_view,
 )
 
 import udbgl.solver as solver_mod
@@ -14,8 +15,8 @@ from udbgl.dataset import MultiViewDataset, normalize, synth_blobs
 from udbgl.graphs import (
     EDGE_EPS,
     count_components,
+    extract_labels,
     knn_bipartite_init,
-    sample_component_labels,
 )
 from udbgl.metrics import nmi
 from udbgl.numerics import QPConvergenceError
@@ -79,7 +80,7 @@ def test_config_resolves_defaults():
     ({"c": 2, "outer_tol": float("nan")}, "outer_tol must be a finite number"),
     ({"c": 2, "alpha": float("inf")}, "alpha must be a finite number"),
     ({"c": 2, "outer_max_iter": 2.0}, "outer_max_iter must be an integer"),
-    ({"c": 2, "outer_max_iter": 0}, "caps"),
+    ({"c": 2, "outer_max_iter": 0}, "outer_max_iter must be positive"),
     ({"c": 2, "seed": 1.5}, "seed must be an integer"),
     ({"c": 2.0}, "c must be an integer"),
     ({"c": 2, "K": True}, "K must be an integer"),
@@ -587,8 +588,17 @@ def test_fit_handles_wide_sparse_views():
     ds = synth_blobs(187, 5, 2, dims=[187, 1703], noise=0.1, seed=0)
     labels, state = fit(ds, SolverConfig(c=5))
     assert labels.shape == (187,)
-    _, n_sample, _ = sample_component_labels(state.p)
-    assert n_sample == 5
+    assert extract_labels(state.p).max() + 1 == 5
+
+
+def test_fit_raises_when_a_component_holds_no_sample():
+    # 30 copies of one point with c = m = 3 and K = 1: update_p reaches 3
+    # components, one of them anchor-only, so the samples fall into 2 and
+    # fit raises instead of returning 2 labels for 3 clusters
+    ds = MultiViewDataset([np.ones((2, 30))])
+    with pytest.raises(RankTargetError, match="component count mismatch: 2 sample-bearing "
+                                              "components, expected 3"):
+        fit(ds, SolverConfig(c=3, m=3, K=1))
 
 
 def test_fit_deterministic():
@@ -619,8 +629,7 @@ def test_fit_variants_produce_valid_labelings():
     for variant in ("full", "knn_fusion_only", "two_phase"):
         labels, state = fit(ds, SolverConfig(**cfg), variant=variant)
         assert labels.shape == (90,)
-        _, n_sample, _ = sample_component_labels(state.p)
-        assert n_sample == 3
+        assert extract_labels(state.p).max() + 1 == 3
         scores[variant] = nmi(labels, ds.labels)
     assert scores["full"] >= 0.95
     assert scores["two_phase"] >= 0.95
@@ -676,6 +685,19 @@ def _duplicated(ds):
                             np.concatenate([ds.labels, ds.labels]))
 
 
+def _constant_beside_varying():
+    ds = synth_blobs(30, 3, 2, seed=0)
+    return MultiViewDataset([np.ones_like(ds.views[0]), ds.views[1]], ds.labels)
+
+
+def _unbalanced(sizes):
+    # clusters of the given sizes, cut from blobs in two six-feature views
+    ds = synth_blobs(len(sizes) * max(sizes), len(sizes), 2, dims=[6, 6], seed=0)
+    idx = np.sort(np.concatenate([np.flatnonzero(ds.labels == k)[:size]
+                                  for k, size in enumerate(sizes)]))
+    return MultiViewDataset([x[:, idx] for x in ds.views], ds.labels[idx])
+
+
 IDENTICAL = [np.ones((3, 12)), np.full((2, 12), 0.5)]
 EDGE_INPUTS = {
     "c=1, m=5": (lambda: synth_blobs(30, 1, 2, seed=0), dict(c=1, m=5)),
@@ -689,6 +711,10 @@ EDGE_INPUTS = {
     "one-sample cluster beside a two-sample one": (
         lambda: MultiViewDataset([np.array([[0.0, 0.1, 5.0], [0.0, 0.2, 5.0]]),
                                   np.array([[1.0, 1.1, -4.0]])]), dict(c=2)),
+    "constant view beside a varying one": (_constant_beside_varying, dict(c=3, m=9)),
+    "feature range beyond the float maximum": (
+        lambda: MultiViewDataset([wide_feature_view()]), dict(c=2)),
+    "clusters of 1990, 5 and 5": (lambda: _unbalanced([1990, 5, 5]), dict(c=3, m=30)),
 }
 
 
@@ -703,4 +729,5 @@ def test_fit_ends_labeled_or_typed_on_edge_inputs(name):
     except (RankTargetError, QPConvergenceError):
         return
     assert np.array_equal(np.unique(labels), np.arange(cfg.c))
-    assert sample_component_labels(state.p)[1:] == (cfg.c, 0)
+    n_sample = extract_labels(state.p).max() + 1
+    assert (n_sample, count_components(state.p) - n_sample) == (cfg.c, 0)
