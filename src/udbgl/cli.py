@@ -34,7 +34,7 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 _SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
-_TOP_KEYS = set(_SOLVER_KEYS) | {"manifest", "synth", "out_dir", "dump_consensus", "grid"}
+_TOP_KEYS = set(_SOLVER_KEYS) | {"manifest", "dump_consensus", "grid"}
 
 
 class ConfigError(ValueError):
@@ -65,46 +65,41 @@ def _load_config(path):
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if not isinstance(raw.get("dump_consensus", False), bool):
+        raise ConfigError(f"dump_consensus must be true or false, got {raw['dump_consensus']!r}")
     return raw
 
 
 def _dataset_from_config(raw, base):
-    has_manifest = "manifest" in raw
-    has_synth = "synth" in raw
-    if has_manifest == has_synth:
-        raise ConfigError("config needs exactly one of 'manifest' or 'synth'")
-    if has_manifest:
-        if not isinstance(raw["manifest"], str):
-            raise ConfigError(f"manifest must be a path string, got {raw['manifest']!r}")
-        try:
-            return load_views(Path(base) / raw["manifest"])
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"bad dataset: {exc}") from exc
-    g = raw["synth"]
-    if not isinstance(g, dict):
-        raise ConfigError("synth block must be an object")
+    # the manifest path is relative to the config file's directory
+    manifest = raw.get("manifest")
+    if not isinstance(manifest, str):
+        raise ConfigError(f"config must set 'manifest' to a path string, got {manifest!r}")
     try:
-        return synth_blobs(
-            n=g["n"], c=g["c"], n_views=g.get("views", 1),
-            dims=g.get("dims"), noise=g.get("noise", 0.1), seed=g.get("seed", 0),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad synth block: {exc}") from exc
+        return load_views(Path(base) / manifest)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"bad dataset: {exc}") from exc
 
 
 def _solver_config(raw, ds):
-    given = {k: raw[k] for k in _SOLVER_KEYS if k in raw}
-    if "c" not in given:
-        if "synth" in raw and isinstance(raw["synth"], dict) and "c" in raw["synth"]:
-            given["c"] = raw["synth"]["c"]
-        else:
-            raise ConfigError("config must set 'c'")
+    if "c" not in raw:
+        raise ConfigError("config must set 'c'")
     try:
-        cfg = SolverConfig(**given)
+        cfg = SolverConfig(**{k: raw[k] for k in _SOLVER_KEYS if k in raw})
         cfg.validate(n=ds.n)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
+
+
+def _make_out_dir(path):
+    """Create the output directory, before any fit or write, so that one
+    which cannot be made costs no work."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+    return Path(path)
 
 
 def _metrics_block(pred, truth):
@@ -118,8 +113,6 @@ def _metrics_block(pred, truth):
 
 
 def _write_run_outputs(out_dir, labels, state, cfg, raw, ds, variant, extra_timings):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     labels_path = out_dir / "labels.csv"
     # the bytes np.savetxt(fmt="%d") writes, formatted in one pass
     labels_path.write_text(("%d\n" * len(labels)) % tuple(labels.tolist()), encoding="latin1")
@@ -136,9 +129,6 @@ def _write_run_outputs(out_dir, labels, state, cfg, raw, ds, variant, extra_timi
         "iterations": state.iterations,
         "gamma": state.gamma,
         "delta": [float(v) for v in state.delta],
-        # update_p returns only a P of exactly c components, and fit raises
-        # unless all c hold samples: no recount needed
-        "components": {"total": cfg.c, "sample_bearing": cfg.c, "anchor_only": 0},
         "timings": timings,
     }
     if raw.get("dump_consensus"):
@@ -157,9 +147,10 @@ def cmd_run(args):
     ds = _dataset_from_config(raw, Path(args.config).parent)
     cfg = _solver_config(raw, ds)
     load_time = time.perf_counter() - t0
+    out_dir = _make_out_dir(args.out)
     labels, state = fit(ds, cfg, variant=args.variant)
-    report = _write_run_outputs(args.out or raw.get("out_dir", "."), labels, state, cfg, raw,
-                                ds, args.variant, {"load": load_time})
+    report = _write_run_outputs(out_dir, labels, state, cfg, raw, ds, args.variant,
+                                {"load": load_time})
     met = report["metrics"]
     tail = "" if met is None else f"  nmi={met['nmi']:.4f} acc={met['acc']:.4f}"
     name = "run" if args.command == "run" else f"ablate[{args.variant}]"
@@ -277,7 +268,8 @@ def cmd_grid(args):
     _grid_block(raw)  # a bad grid fails before the data loads
     ds = _dataset_from_config(raw, Path(args.config).parent)
     cfg = _solver_config(raw, ds)  # validates the base config early
-    ds = _subsample(ds, args.subsample, raw.get("seed", 0))
+    out_dir = _make_out_dir(args.out)
+    ds = _subsample(ds, args.subsample, cfg.seed)
     n_used = ds.n
     tasks = [(raw, cell, ds) for cell in grid_cells(raw, cfg.c)]
 
@@ -307,8 +299,6 @@ def cmd_grid(args):
             return EXIT_SOLVER
         best = min(done, key=lambda r: r["objective"])
 
-    out_dir = Path(args.out or raw.get("out_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "grid_report.json", "w") as fh:
         json.dump({"n_used": n_used, "cells": rows, "best": best}, fh, indent=2)
     met = best.get("metrics")
@@ -330,7 +320,7 @@ def cmd_synth(args):
                          noise=args.noise, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    path = write_views(ds, args.out)
+    path = write_views(ds, _make_out_dir(args.out))
     print(path)
     return EXIT_OK
 
@@ -342,20 +332,20 @@ def _build_parser():
 
     p_run = sub.add_parser("run", help="cluster one dataset per a JSON config")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default=None, help="output directory override")
+    p_run.add_argument("--out", default=".", help="output directory (default .)")
     p_run.set_defaults(func=cmd_run, variant="full")
 
     p_grid = sub.add_parser("grid", help="sweep alpha/beta/m and surface the best cell")
     p_grid.add_argument("--config", required=True)
     p_grid.add_argument("--subsample", type=int, default=10000,
                         help="tune on at most this many samples (default 10000)")
-    p_grid.add_argument("--out", default=None)
+    p_grid.add_argument("--out", default=".", help="output directory (default .)")
     p_grid.set_defaults(func=cmd_grid)
 
     p_abl = sub.add_parser("ablate", help="run a reduced variant of the pipeline")
     p_abl.add_argument("--variant", required=True, choices=VARIANTS)
     p_abl.add_argument("--config", required=True)
-    p_abl.add_argument("--out", default=None)
+    p_abl.add_argument("--out", default=".", help="output directory (default .)")
     p_abl.set_defaults(func=cmd_run)
 
     p_syn = sub.add_parser("synth", help="write a synthetic blob dataset")

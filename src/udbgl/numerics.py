@@ -388,7 +388,7 @@ def _dual_newton(B, rho, F, starts, out, sweep_hook):
     p, Fp = np.arange(len(F)), F
     for _ in range(500):
         if sweep_hook is not None:
-            sweep_hook("newton", p.size)
+            sweep_hook(p.size)
         S = x > 0.0
         G = u - x @ B.T
         d = _newton_direction(S, B, outer, rho, G)
@@ -459,9 +459,9 @@ def solve_simplex_qp_rows(H, F, x0, sweep_hook=None):
     scores the warm start at the end: the rows H^-1 f are formed in the
     output, and each block's solution overwrites its own rows.
 
-    ``sweep_hook(kind, n_rows)``, when given, is called once per Newton
-    step (kind "newton") of each block of up to 4096 rows, with the number
-    of rows of the block still being worked on.
+    ``sweep_hook(n_rows)``, when given, is called once per Newton step of
+    each block of up to 4096 rows, with the number of rows of the block
+    still being worked on.
 
     Raises ValueError on a misshapen, asymmetric or indefinite input
     (lambda_min below -1e-8 max(1, lambda_max)), and QPConvergenceError on

@@ -20,8 +20,19 @@ from udbgl.cli import (
     grid_cells,
     main,
 )
+from udbgl.dataset import synth_blobs, write_views
 
-SYNTH = {"synth": {"n": 60, "c": 3, "views": 2, "noise": 0.1, "seed": 0}}
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.fixture(scope="module")
+def blobs(tmp_path_factory):
+    """The data keys of a config on 60 samples of 3 separable blobs in 2
+    views, written once as a manifest; its path is absolute, so a config
+    anywhere can name it."""
+    data = tmp_path_factory.mktemp("blobs")
+    write_views(synth_blobs(60, 3, 2, noise=0.1, seed=0), data)
+    return {"manifest": str(data / "manifest.json"), "c": 3}
 
 
 def write_config(tmp_path, name="cfg.json", **raw):
@@ -38,18 +49,17 @@ def read_report(out_dir):
 # ---------------------------------------------------------------------------
 # run
 
-def test_run_on_synth_config(tmp_path, capsys):
-    cfg = write_config(tmp_path, **SYNTH)
+def test_run_on_synth_config(tmp_path, capsys, blobs):
+    cfg = write_config(tmp_path, **blobs)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
     labels = np.loadtxt(out / "labels.csv", dtype=int)
     assert labels.shape == (60,)
+    assert np.unique(labels).size == 3
     report = read_report(out)
     assert report["variant"] == "full"
     assert report["n"] == 60
     assert report["metrics"]["nmi"] >= 0.9
-    assert report["components"]["sample_bearing"] == 3
-    assert report["components"]["total"] >= 3
     assert len(report["objective_trace"]) == report["iterations"] + 1
     assert abs(sum(report["delta"]) - 1.0) <= 1e-8
     assert {"normalize", "anchors", "init", "optimize", "total", "load"} <= set(report["timings"])
@@ -93,8 +103,8 @@ def test_labels_csv_has_the_bytes_savetxt_writes(tmp_path, labels):
     assert (tmp_path / "labels.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
-def test_run_deterministic_outputs(tmp_path):
-    cfg = write_config(tmp_path, **SYNTH)
+def test_run_deterministic_outputs(tmp_path, blobs):
+    cfg = write_config(tmp_path, **blobs)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     main(["run", "--config", cfg, "--out", str(out1)])
     main(["run", "--config", cfg, "--out", str(out2)])
@@ -104,8 +114,8 @@ def test_run_deterministic_outputs(tmp_path):
     assert r1 == r2
 
 
-def test_run_dumps_consensus_when_asked(tmp_path):
-    cfg = write_config(tmp_path, dump_consensus=True, **SYNTH)
+def test_run_dumps_consensus_when_asked(tmp_path, blobs):
+    cfg = write_config(tmp_path, dump_consensus=True, **blobs)
     out = tmp_path / "out"
     main(["run", "--config", cfg, "--out", str(out)])
     report = read_report(out)
@@ -114,85 +124,135 @@ def test_run_dumps_consensus_when_asked(tmp_path):
     assert w.shape == (60, 3)
     assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-8
     assert w.min() >= 0.0
-    # the carried component counts agree with a dense-eigen recount of the
-    # dumped graph and with the labels
-    comps = report["components"]
-    assert comps["total"] == eigen_component_count(w, 1e-8)
+    # a dense-eigen count of the dumped graph finds the config's c
+    # components, and the labels name c clusters
     labels = np.loadtxt(out / "labels.csv", dtype=int)
-    assert comps["sample_bearing"] == np.unique(labels).size == 3
-    assert comps["anchor_only"] == comps["total"] - comps["sample_bearing"]
+    assert eigen_component_count(w, 1e-8) == np.unique(labels).size == 3
 
 
-def test_report_echoes_the_config_in_file_order(tmp_path):
+def test_report_echoes_the_config_in_file_order(tmp_path, blobs):
     # the echo follows the file, not the order of a set of key names
-    raw = {"seed": 0, "outer_tol": 1e-6, **SYNTH, "m": 6, "dump_consensus": False, "c": 3}
+    raw = {"seed": 0, "outer_tol": 1e-6, "manifest": blobs["manifest"], "m": 6,
+           "dump_consensus": False, "c": 3}
     cfg = write_config(tmp_path, **raw)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert list(read_report(out)["config"]) == [*raw, "resolved"]
 
 
-def test_report_resolves_m_and_k(tmp_path):
+def test_report_resolves_m_and_k(tmp_path, blobs):
     # unset, m reads c and K reads min(5, m): the values the fit used
     for extra, want in (({}, (3, 3)), ({"m": 10}, (10, 5)), ({"m": 10, "K": 2}, (10, 2))):
-        cfg = write_config(tmp_path, **SYNTH, c=3, **extra)
+        cfg = write_config(tmp_path, **blobs, **extra)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
         resolved = read_report(out)["config"]["resolved"]
         assert (resolved["m"], resolved["K"]) == want
 
 
-def test_run_out_dir_from_config(tmp_path):
+def test_run_out_dir_from_config(tmp_path, capsys, monkeypatch, blobs):
+    # --out alone names the output directory and the manifest alone the
+    # data: an out_dir key or a synth block is an unknown key, and exits 2
+    # before any data loads
+    import udbgl.cli as cli
+
+    def no_load(*args):
+        raise AssertionError("the dataset loaded before the config keys were checked")
+
+    monkeypatch.setattr(cli, "_dataset_from_config", no_load)
     out = tmp_path / "cfg_out"
-    cfg = write_config(tmp_path, out_dir=str(out), **SYNTH)
-    assert main(["run", "--config", cfg]) == EXIT_OK
-    assert (out / "report.json").exists()
+    for key, value in (("out_dir", str(out)), ("synth", {"n": 60, "c": 3, "views": 2})):
+        cfg = write_config(tmp_path, **blobs, **{key: value})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"error: unknown config keys: ['{key}']" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,out", [
+    ("run", "afile"), ("ablate", "afile"), ("grid", "afile/x"), ("synth", "afile"),
+])
+def test_unusable_out_dir_exits_2_before_any_work(tmp_path, capsys, monkeypatch, blobs,
+                                                   command, out):
+    # an --out that cannot be made fails after the config and data checks,
+    # before any fit or write
+    import udbgl.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output directory was made")
+
+    monkeypatch.setattr(cli, "fit", no_work)
+    monkeypatch.setattr(cli, "write_views", no_work)
+    (tmp_path / "afile").write_text("kept")
+    cfg = write_config(tmp_path, **blobs)
+    argv = {"run": ["run", "--config", cfg],
+            "ablate": ["ablate", "--variant", "two_phase", "--config", cfg],
+            "grid": ["grid", "--config", cfg],
+            "synth": ["synth", "--n", "30", "--c", "3", "--views", "1"]}[command]
+    assert main([*argv, "--out", str(tmp_path / out)]) == EXIT_CONFIG
+    assert "error: cannot create output directory" in capsys.readouterr().err
+    assert (tmp_path / "afile").read_text() == "kept"
 
 
 # ---------------------------------------------------------------------------
 # config errors (exit 2)
 
+# stands for the path of the blobs manifest in the configs below
+MANIFEST = "@blobs"
+BASE = {"manifest": MANIFEST, "c": 3}
+
+
 @pytest.mark.parametrize("raw", [
-    {"synth": SYNTH["synth"], "bogus_key": 1},
-    {},                                          # neither manifest nor synth
-    {"manifest": "x.json", "synth": SYNTH["synth"]},
-    {"synth": {"n": 30, "views": 1}},            # no c anywhere
-    {"synth": {"n": 2, "c": 5, "views": 1}},     # n < c
-    {"synth": {"n": 30, "c": 3, "views": 1}, "alpha": 0.0},
-    {"synth": {"n": 30, "c": 3, "views": 1}, "m": 200},   # m > n
-    {"synth": "not-a-dict"},
-    {"manifest": "missing/manifest.json"},
-    {"manifest": 5},
-    {"synth": {"n": 30.5, "c": 3, "views": 1}},
-    {"synth": {"n": 30, "c": 3, "views": 1, "dims": [0]}},
+    # (config, a fragment of the error it must exit with)
+    ({**BASE, "bogus_key": 1}, "unknown config keys: ['bogus_key']"),
+    ({}, "config must set 'manifest'"),
+    ({**BASE, "synth": {"n": 60, "c": 3, "views": 2}}, "unknown config keys: ['synth']"),
+    ({"synth": {"n": 60, "c": 3, "views": 2}, "c": 3}, "unknown config keys: ['synth']"),
+    ({**BASE, "c": 0}, "c must be at least 1"),
+    ({**BASE, "alpha": 0.0}, "alpha, beta must be positive"),
+    ({**BASE, "m": 200}, "m=200 exceeds sample count n=60"),
+    ({**BASE, "dump_consensus": "no"}, "dump_consensus must be true or false, got 'no'"),
+    ({"manifest": "missing/manifest.json", "c": 3}, "bad dataset"),
+    ({"manifest": 5, "c": 3}, "'manifest' to a path string, got 5"),
+    ({**BASE, "dump_consensus": 1}, "dump_consensus must be true or false, got 1"),
+    ({**BASE, "m": 2}, "m=2 must be at least c=3"),
     # solver keys of the wrong type or out of range
-    *({"synth": {"n": 30, "c": 2, "views": 1}, key: value} for key, value in (
-        ("c", 2.5), ("c", True), ("m", 3.5), ("m", 2.0), ("K", 1.5),
-        ("outer_max_iter", 2.5), ("outer_max_iter", 0), ("seed", "a"), ("seed", -1),
-        ("outer_tol", "x"), ("alpha", float("nan")), ("beta", float("inf")),
+    *(({**BASE, key: value}, fragment) for key, value, fragment in (
+        ("c", 2.5, "c must be an integer, got 2.5"),
+        ("c", True, "c must be an integer, got True"),
+        ("m", 3.5, "m must be an integer, got 3.5"),
+        ("m", 2.0, "m must be an integer, got 2.0"),
+        ("K", 1.5, "K must be an integer, got 1.5"),
+        ("outer_max_iter", 2.5, "outer_max_iter must be an integer, got 2.5"),
+        ("outer_max_iter", 0, "outer_max_iter must be positive"),
+        ("seed", "a", "seed must be an integer, got 'a'"),
+        ("seed", -1, "seed must be nonnegative, got -1"),
+        ("outer_tol", "x", "outer_tol must be a finite number, got 'x'"),
+        ("alpha", float("nan"), "NaN is not a finite double"),
+        ("beta", float("inf"), "Infinity is not a finite double"),
     )),
     # non-finite numbers where nothing validates them; json.dumps writes NaN
     # and -Infinity as those bare words
-    {"synth": SYNTH["synth"], "dump_consensus": float("nan")},
-    {"synth": {**SYNTH["synth"], "extra": float("nan")}},
-    {"synth": SYNTH["synth"], "grid": {"alpha": [float("-inf")]}},
+    ({**BASE, "dump_consensus": float("nan")}, "NaN is not a finite double"),
+    ({**BASE, "grid": {"m": [{"nested": float("nan")}]}}, "NaN is not a finite double"),
+    ({**BASE, "grid": {"alpha": [float("-inf")]}}, "-Infinity is not a finite double"),
     # numbers a double cannot hold, written as JSON text
-    pytest.param('{"synth": {"n": 60, "c": 3, "views": 2}, "dump_consensus": 1e400}',
-                 id="decimal-1e400"),
-    pytest.param('{"synth": {"n": 60, "c": 3, "views": 2}, "alpha": 1%s}' % ("0" * 400),
-                 id="integer-1e400"),
+    pytest.param(('{"manifest": "@blobs", "c": 3, "dump_consensus": 1e400}',
+                  "1e400 is not a finite double"), id="decimal-1e400"),
+    pytest.param(('{"manifest": "@blobs", "c": 3, "alpha": 1%s}' % ("0" * 400),
+                  "is not a finite double"), id="integer-1e400"),
     # valid JSON, but not an object
-    pytest.param('[{"synth": {"n": 60, "c": 3, "views": 2}}]', id="not-an-object"),
+    pytest.param(('[{"manifest": "@blobs", "c": 3}]', "config must be a JSON object"),
+                 id="not-an-object"),
 ])
-def test_bad_configs_exit_2(tmp_path, capsys, raw):
-    if isinstance(raw, str):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(raw)
-    else:
-        cfg = write_config(tmp_path, **raw)
+def test_bad_configs_exit_2(tmp_path, capsys, blobs, raw):
+    config, fragment = raw
+    text = config if isinstance(config, str) else json.dumps(config)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text.replace(json.dumps(MANIFEST), json.dumps(blobs["manifest"])))
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err, err
     assert not out.exists()
 
 
@@ -261,8 +321,8 @@ def test_synth_invalid_shape_exits_2(tmp_path):
                  "--out", str(tmp_path / "d")]) == EXIT_CONFIG
 
 
-def test_unknown_variant_is_an_argparse_error(tmp_path):
-    cfg = write_config(tmp_path, **SYNTH)
+def test_unknown_variant_is_an_argparse_error(tmp_path, blobs):
+    cfg = write_config(tmp_path, **blobs)
     with pytest.raises(SystemExit):
         main(["ablate", "--variant", "bogus", "--config", cfg])
 
@@ -305,8 +365,8 @@ def test_anchor_only_component_exits_3(tmp_path, capsys):
     (["ablate", "--variant", "knn_fusion_only"], "alpha", 1e307),
     (["ablate", "--variant", "two_phase"], "alpha", 1e308),  # 2H overflows
 ])
-def test_extreme_regularization_exits_3(tmp_path, capsys, command, key, value):
-    cfg = write_config(tmp_path, m=10, K=5, **{key: value}, **SYNTH)
+def test_extreme_regularization_exits_3(tmp_path, capsys, blobs, command, key, value):
+    cfg = write_config(tmp_path, m=10, K=5, **{key: value}, **blobs)
     out = tmp_path / "o"
     assert main([*command, "--config", cfg, "--out", str(out)]) == EXIT_SOLVER
     assert "solver failure:" in capsys.readouterr().err
@@ -330,8 +390,8 @@ def test_synth_writes_loadable_dataset(tmp_path):
 # ablate
 
 @pytest.mark.parametrize("variant", ["full", "knn_fusion_only", "two_phase"])
-def test_ablate_variants(tmp_path, capsys, variant):
-    cfg = write_config(tmp_path, m=10, K=5, **SYNTH)
+def test_ablate_variants(tmp_path, capsys, blobs, variant):
+    cfg = write_config(tmp_path, m=10, K=5, **blobs)
     out = tmp_path / variant
     assert main(["ablate", "--variant", variant, "--config", cfg,
                  "--out", str(out)]) == EXIT_OK
@@ -355,16 +415,16 @@ def test_default_grid_planner():
     assert all(c["alpha"] == 1.0 and c["m"] == 3 for c in cells)
 
 
-def grid_config(tmp_path):
+def grid_config(tmp_path, blobs):
     return write_config(
         tmp_path,
         grid={"alpha": [1.0, 0.1], "beta": [1.0], "m": [3, 200]},
-        **SYNTH,
+        **blobs,
     )
 
 
-def test_grid_sweeps_and_reports(tmp_path, capsys):
-    cfg = grid_config(tmp_path)
+def test_grid_sweeps_and_reports(tmp_path, capsys, blobs):
+    cfg = grid_config(tmp_path, blobs)
     out = tmp_path / "out"
     assert main(["grid", "--config", cfg, "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "grid_report.json").read_text())
@@ -379,10 +439,10 @@ def test_grid_sweeps_and_reports(tmp_path, capsys):
     assert "best" in capsys.readouterr().out
 
 
-def test_grid_subsample_caps_n(tmp_path):
+def test_grid_subsample_caps_n(tmp_path, blobs):
     # m=c cells are fragile at 30 samples (uniform K-NN seed); sweep m=10
     cfg = write_config(tmp_path, grid={"alpha": [1.0, 0.1], "beta": [1.0],
-                                       "m": [10, 200]}, **SYNTH)
+                                       "m": [10, 200]}, **blobs)
     out = tmp_path / "out"
     assert main(["grid", "--config", cfg, "--subsample", "30",
                  "--out", str(out)]) == EXIT_OK
@@ -392,8 +452,8 @@ def test_grid_subsample_caps_n(tmp_path):
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])
-def test_grid_nonpositive_subsample_exits_2(tmp_path, capsys, cap):
-    cfg = grid_config(tmp_path)
+def test_grid_nonpositive_subsample_exits_2(tmp_path, capsys, blobs, cap):
+    cfg = grid_config(tmp_path, blobs)
     out = tmp_path / "out"
     assert main(["grid", "--config", cfg, "--subsample", cap,
                  "--out", str(out)]) == EXIT_CONFIG
@@ -401,18 +461,18 @@ def test_grid_nonpositive_subsample_exits_2(tmp_path, capsys, cap):
     assert not (out / "grid_report.json").exists()
 
 
-def test_grid_non_integer_threads_exits_2(tmp_path, capsys, monkeypatch):
+def test_grid_non_integer_threads_exits_2(tmp_path, capsys, blobs, monkeypatch):
     monkeypatch.setenv("UDBGL_THREADS", "two")
-    cfg = grid_config(tmp_path)
+    cfg = grid_config(tmp_path, blobs)
     assert main(["grid", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "error:" in err and "UDBGL_THREADS" in err and "'two'" in err
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
-def test_grid_threads_below_one_exit_2(tmp_path, capsys, monkeypatch, threads):
+def test_grid_threads_below_one_exit_2(tmp_path, capsys, blobs, monkeypatch, threads):
     monkeypatch.setenv("UDBGL_THREADS", threads)
-    cfg = grid_config(tmp_path)
+    cfg = grid_config(tmp_path, blobs)
     out = tmp_path / "out"
     assert main(["grid", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert "UDBGL_THREADS must be at least 1" in capsys.readouterr().err
@@ -464,10 +524,10 @@ def use_fake_executor(monkeypatch, sizes, drained, eager):
     monkeypatch.setattr(cli, "_worker_cells", None)
 
 
-def test_grid_pool_never_exceeds_cell_count(tmp_path, monkeypatch):
+def test_grid_pool_never_exceeds_cell_count(tmp_path, blobs, monkeypatch):
     sizes = []
     use_fake_executor(monkeypatch, sizes, [], eager=False)
-    cfg = grid_config(tmp_path)  # 2 x 1 x 2 = 4 cells
+    cfg = grid_config(tmp_path, blobs)  # 2 x 1 x 2 = 4 cells
     # the main process is one of the cells run at once: min(threads, cells) - 1
     # children, and none at all for UDBGL_THREADS=1
     for threads, expected in (("100000", [3]), ("3", [2]), ("2", [1]), ("1", [])):
@@ -478,10 +538,11 @@ def test_grid_pool_never_exceeds_cell_count(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("eager, child_cells", [(False, [0, 0]), (True, [4, 0])])
-def test_grid_rows_do_not_depend_on_who_runs_them(tmp_path, monkeypatch, eager, child_cells):
+def test_grid_rows_do_not_depend_on_who_runs_them(tmp_path, blobs, monkeypatch, eager,
+                                                 child_cells):
     # lazy: the children claim nothing and the main process runs every cell;
     # eager: the first child runs every cell and the main process none
-    cfg = grid_config(tmp_path)
+    cfg = grid_config(tmp_path, blobs)
     monkeypatch.setenv("UDBGL_THREADS", "1")
     assert main(["grid", "--config", cfg, "--out", str(tmp_path / "serial")]) == EXIT_OK
     drained = []
@@ -495,7 +556,7 @@ def test_grid_rows_do_not_depend_on_who_runs_them(tmp_path, monkeypatch, eager, 
 
 @pytest.mark.parametrize("eager", [False, True])
 @pytest.mark.parametrize("exc_type", [RuntimeError, KeyboardInterrupt])
-def test_grid_failure_starts_no_later_cell(tmp_path, monkeypatch, eager, exc_type):
+def test_grid_failure_starts_no_later_cell(tmp_path, blobs, monkeypatch, eager, exc_type):
     # a cell that raises past _grid_cell's error rows ends the sweep: the
     # process that saw it re-raises, and no process claims another cell
     import udbgl.cli as cli
@@ -511,7 +572,7 @@ def test_grid_failure_starts_no_later_cell(tmp_path, monkeypatch, eager, exc_typ
     monkeypatch.setattr(cli, "_grid_cell", failing_cell)
     use_fake_executor(monkeypatch, [], [], eager)
     monkeypatch.setenv("UDBGL_THREADS", "2")
-    cfg = grid_config(tmp_path)  # 4 cells
+    cfg = grid_config(tmp_path, blobs)  # 4 cells
     with pytest.raises(exc_type, match="cell failed"):
         main(["grid", "--config", cfg, "--out", str(tmp_path / "out")])
     assert started == grid_cells(json.loads(Path(cfg).read_text()), 3)[:2]
@@ -521,7 +582,7 @@ def test_readme_lists_the_solver_keys():
     # the bullets under "Solver keys" in README.md, each led by its keys
     import udbgl.cli as cli
 
-    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    lines = README.read_text().splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("Solver keys"))
     bullets = itertools.dropwhile(lambda line: not line.startswith("- "), lines[start:])
     listed = []
@@ -533,9 +594,24 @@ def test_readme_lists_the_solver_keys():
     assert listed == list(cli._SOLVER_KEYS)
 
 
+def test_readme_config_examples_are_accepted(tmp_path):
+    # every JSON block under "### Config file" in README.md passes the
+    # config checks (no unknown key among them) and names a manifest and c
+    from udbgl.cli import _load_config
+
+    section = README.read_text().split("\n### Config file\n", 1)[1].split("\n#", 1)[0]
+    blocks = re.findall(r"```json\n(.*?)```", section, re.S)
+    assert blocks
+    for block in blocks:
+        path = tmp_path / "cfg.json"
+        path.write_text(block)
+        raw = _load_config(path)
+        assert "manifest" in raw and "c" in raw, block
+
+
 def test_readme_library_example_runs():
     # the python block under "## Library" in README.md, run as written
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -543,12 +619,12 @@ def test_readme_library_example_runs():
     assert r.returncode == 0, r.stderr
 
 
-def test_removed_qp_keys_exit_2(tmp_path, capsys):
+def test_removed_qp_keys_exit_2(tmp_path, capsys, blobs):
     for key, value in (("qp_tol", 1e-8), ("qp_max_iter", 1000),
                        ("gamma_reset", False), ("delta_warm_start", True),
                        ("gamma0", 0.1), ("gamma_min", 1e-8), ("gamma_max", 1e8),
                        ("p_inner_max", 60), ("normalize", "minmax")):
-        cfg = write_config(tmp_path, **SYNTH, **{key: value})
+        cfg = write_config(tmp_path, **blobs, **{key: value})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
@@ -560,23 +636,23 @@ def test_removed_qp_keys_exit_2(tmp_path, capsys):
     {"gamma": [1.0]},
     {"alpha": []},
 ])
-def test_grid_bad_block_exits_2_before_loading(tmp_path, capsys, monkeypatch, grid):
+def test_grid_bad_block_exits_2_before_loading(tmp_path, capsys, blobs, monkeypatch, grid):
     import udbgl.cli as cli
 
     def no_load(*args):
         raise AssertionError("the dataset loaded before the grid block was checked")
 
     monkeypatch.setattr(cli, "_dataset_from_config", no_load)
-    cfg = write_config(tmp_path, grid=grid, **SYNTH)
+    cfg = write_config(tmp_path, grid=grid, **blobs)
     out = tmp_path / "out"
     assert main(["grid", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert "error: grid" in capsys.readouterr().err
     assert not (out / "grid_report.json").exists()
 
 
-def test_grid_parallel_matches_serial(tmp_path, monkeypatch):
+def test_grid_parallel_matches_serial(tmp_path, blobs, monkeypatch):
     # 2 runs cells in the main process and one child, 3 beside two children
-    cfg = grid_config(tmp_path)
+    cfg = grid_config(tmp_path, blobs)
     monkeypatch.setenv("UDBGL_THREADS", "1")
     main(["grid", "--config", cfg, "--out", str(tmp_path / "serial")])
     serial = json.loads((tmp_path / "serial" / "grid_report.json").read_text())

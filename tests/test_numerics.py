@@ -457,8 +457,8 @@ def test_solve_sweep_hook_sees_every_call_and_rows_are_certified():
         F = rng.standard_normal((8, m)) * 3.0
         calls = []
         out = solve_simplex_qp_rows(h, F, np.full((8, m), 1.0 / m),
-                                    sweep_hook=lambda *args: calls.append(args))
-        assert len(calls) >= 1
+                                    sweep_hook=lambda n_rows: calls.append(n_rows))
+        assert len(calls) >= 1 and calls[0] == 8
         assert np.all(kkt_residual(h, F, out) <= 1e-6)
 
 
@@ -604,10 +604,11 @@ def test_batched_rows_span_support_sizes_and_match_oracle():
             h = a.T @ a + c * np.eye(m)
             F = 2.0 * rng.standard_normal((40, m)) @ a.T @ a
             F *= rng.choice([0.1, 1.0, 10.0], size=(40, 1))
-            kinds = []
+            steps = []
             out = solve_simplex_qp_rows(h, F, np.full((40, m), 1.0 / m),
-                                        sweep_hook=lambda kind, n: kinds.append(kind))
-            assert set(kinds) == {"newton"}
+                                        sweep_hook=lambda n_rows: steps.append(n_rows))
+            # one block: the first step sees every row, and finished rows drop out
+            assert steps[0] == 40 and all(a >= b > 0 for a, b in zip(steps, steps[1:]))
             best = np.array([simplex_qp_oracle(h, f) for f in F])
             if m >= 5:
                 sizes = set(np.count_nonzero(best > 1e-12, axis=1).tolist())
@@ -628,8 +629,8 @@ def test_interior_optima_take_one_round_from_vertex_starts():
     F = 2.0 * opt @ h - rng.standard_normal((20, 1))
     rounds = []
     out = solve_simplex_qp_rows(h, F, np.eye(m)[rng.integers(m, size=20)],
-                                sweep_hook=lambda kind, n: rounds.append(kind))
-    assert rounds == ["newton"], rounds
+                                sweep_hook=lambda n_rows: rounds.append(n_rows))
+    assert rounds == [20], rounds
     assert np.abs(out - opt).max() <= 1e-10
 
 
@@ -644,10 +645,10 @@ def test_stalled_block_pivots_finish_by_single_pivots(seed):
     h = a.T @ a + 10.0 ** rng.uniform(-4, 0) * np.eye(m)
     f = 2.0 * (rng.standard_normal(d) @ a) + rng.standard_normal(m)
     x0 = np.eye(m)[int(rng.integers(m))]
-    kinds = []
+    steps = []
     x = solve_simplex_qp_rows(h, f[None, :], x0[None, :],
-                              sweep_hook=lambda kind, n: kinds.append(kind))[0]
-    assert set(kinds) == {"newton"}
+                              sweep_hook=lambda n_rows: steps.append(n_rows))[0]
+    assert steps and set(steps) == {1}
     xs = simplex_qp_oracle(h, f)
     assert (x @ h @ x - f @ x) - (xs @ h @ xs - f @ xs) <= 1e-8
     assert kkt_residual(h, f[None, :], x[None, :])[0] <= 1e-6

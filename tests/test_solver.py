@@ -410,14 +410,14 @@ def test_update_z_from_knn_seed_takes_few_newton_steps(monkeypatch):
     solve = solver_mod.solve_simplex_qp_rows
 
     def counted(h, f, x0):
-        return solve(h, f, x0, sweep_hook=lambda kind, n: rounds.append(kind))
+        return solve(h, f, x0, sweep_hook=lambda n_rows: rounds.append(n_rows))
 
     monkeypatch.setattr(solver_mod, "solve_simplex_qp_rows", counted)
     ds = normalize(synth_blobs(n=500, c=5, n_views=1, dims=[20], noise=0.3))
     anchors = build_anchors(ds, 100, seed=0)
     zs = [knn_bipartite_init(ds.views[0], anchors[0], 5)]
     update_z(0, ds.views[0], anchors[0], zs, np.array([1.0]), zs[0], 1.0, 1.0)
-    assert rounds and set(rounds) == {"newton"}
+    assert rounds and rounds[0] == 500  # the first step sees every row
     assert len(rounds) <= 15, len(rounds)
 
 
