@@ -1,6 +1,7 @@
 """Command line for clustering runs: ``udbgl run|grid|ablate|synth``.
 
-Exit codes: 0 success, 2 invalid config or arguments, 3 solver failure.
+Exit codes: 0 success, 2 invalid config or arguments (a grid none of whose
+cells has a valid config included), 3 solver failure.
 ``UDBGL_THREADS`` (at least 1; default 1) is the number of grid cells run at
 once. The main process runs cells too, so N means N - 1 worker processes, and
 a sweep never runs more cells at once than the grid has.
@@ -23,11 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import MultiViewDataset, load_views, synth_blobs, write_views
+from .dataset import MultiViewDataset, _is_int, _is_real, load_views, synth_blobs, write_views
 from .graphs import dump_graph_csv
 from .metrics import acc, nmi, purity
 from .numerics import QPConvergenceError
-from .solver import VARIANTS, RankTargetError, SolverConfig, _is_int, _is_real, fit
+from .solver import VARIANTS, RankTargetError, SolverConfig, fit
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -203,6 +204,15 @@ def _subsample(ds, cap, seed):
     return MultiViewDataset(views, labels)
 
 
+def _cell_error(raw, cell, ds):
+    """Why the cell's config is invalid on ``ds`` (m > n included), or None."""
+    try:
+        _solver_config({**raw, **cell}, ds)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
 def _grid_cell(task):
     raw, cell, ds = task
     row = dict(cell)
@@ -268,10 +278,14 @@ def cmd_grid(args):
     _grid_block(raw)  # a bad grid fails before the data loads
     ds = _dataset_from_config(raw, Path(args.config).parent)
     cfg = _solver_config(raw, ds)  # validates the base config early
-    out_dir = _make_out_dir(args.out)
     ds = _subsample(ds, args.subsample, cfg.seed)
     n_used = ds.n
-    tasks = [(raw, cell, ds) for cell in grid_cells(raw, cfg.c)]
+    cells = grid_cells(raw, cfg.c)
+    errors = [_cell_error(raw, cell, ds) for cell in cells]
+    if all(errors):  # a usage error, not a solver failure: no fit would run
+        raise ConfigError(f"no grid cell can run: {errors[0]}")
+    out_dir = _make_out_dir(args.out)
+    tasks = [(raw, cell, ds) for cell in cells]
 
     # never more cells at once than the grid has (a fork-started pool starts
     # all its workers up front); the main process runs cells beside

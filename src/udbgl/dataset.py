@@ -4,6 +4,7 @@ and a synthetic blob generator used by tests and the CLI."""
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -104,6 +105,8 @@ def load_views(manifest_path):
 
     if labels:
         raw = np.loadtxt(base / labels, ndmin=1)
+        if not np.all(np.isfinite(raw)):  # np.unique would make NaN a class of its own
+            raise ValueError(f"non-finite label in {base / labels}")
         _, labels = np.unique(raw, return_inverse=True)
     else:
         labels = None
@@ -158,13 +161,22 @@ def _is_int(v):
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _is_real(v):
+    # a finite number, not a bool
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _separated_centers(c, dim, sep, rng):
     # rejection-sample c centers with pairwise distance >= sep; widen the
-    # box if a draw keeps colliding so the loop always terminates
+    # box if a draw keeps colliding so the loop always terminates, unless
+    # the box outgrows a double
     side = sep * max(2.0, 2.0 * c ** (1.0 / dim))
     centers = []
     tries = 0
     while len(centers) < c:
+        if not math.isfinite(side):
+            raise ValueError("noise is too large: the box that holds the centers "
+                             "overflows a double")
         cand = rng.uniform(0.0, side, size=dim)
         if all(np.linalg.norm(cand - p) >= sep for p in centers):
             centers.append(cand)
@@ -183,7 +195,8 @@ def synth_blobs(n, c, n_views, dims=None, noise=0.1, seed=0):
     Each view draws its own c well-separated centers (pairwise distance at
     least 1 + 10*noise), samples are assigned to clusters round-robin
     (sample i -> cluster i mod c), and isotropic Gaussian noise of the given
-    scale is added.  Deterministic for a fixed seed.
+    scale is added.  Deterministic for a fixed seed.  ``noise`` must be a
+    finite number >= 0, small enough that the centers' box fits in a double.
     """
     for name, v in (("n", n), ("c", c), ("n_views", n_views)):
         if not _is_int(v):
@@ -196,6 +209,8 @@ def synth_blobs(n, c, n_views, dims=None, noise=0.1, seed=0):
         raise ValueError("dims must list one dimensionality per view")
     if not all(_is_int(d) and d > 0 for d in dims):
         raise ValueError(f"dims must be positive integers, got {list(dims)!r}")
+    if not (_is_real(noise) and noise >= 0):
+        raise ValueError(f"noise must be a finite number >= 0, got {noise!r}")
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % c
     sep = 1.0 + 10.0 * noise

@@ -18,21 +18,19 @@ and the new graph; the QP adds two while it scores the warm start at the
 end), objective and update_delta one.
 
 Values between the blocks are plain: the spectral embedding is the triple
-(f_n, f_m, sigma) of update_f, update_p returns (P, gamma), and fit's
-callback gets (stage, state).
+(f_n, f_m, sigma) of update_f, and update_p returns (P, gamma).
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .anchors import build_anchors
-from .dataset import _is_int, normalize
+from .dataset import _is_int, _is_real, normalize
 from .graphs import (
     EDGE_EPS,
     check_graph,
@@ -75,11 +73,6 @@ class RankTargetError(RuntimeError):
 _GAMMA0 = 0.1
 _GAMMA_MIN, _GAMMA_MAX = 1e-8, 1e8
 _P_SWEEPS = 60
-
-
-def _is_real(v):
-    # a finite number, not a bool
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass
@@ -355,7 +348,7 @@ def objective(state, ds, anchors, cfg):
     return total
 
 
-def fit(ds, cfg, variant="full", callback=None, p_sweep_hook=None):
+def fit(ds, cfg, variant="full", p_sweep_hook=None):
     """Cluster a multi-view dataset; returns (labels, state).
 
     Pipeline: normalize features, pick anchors (k-means on the stacked
@@ -369,10 +362,7 @@ def fit(ds, cfg, variant="full", callback=None, p_sweep_hook=None):
 
     ``variant`` selects an ablation: "knn_fusion_only" freezes Z at the
     K-NN seed, "two_phase" first solves the Z subproblems with beta = 0 and
-    then fuses with Z frozen. ``callback(stage, state)`` fires after the
-    initialization ("init") and after every block update ("update_p",
-    "update_z:<v>", "update_delta"); ``p_sweep_hook`` is forwarded to
-    update_p.
+    then fuses with Z frozen. ``p_sweep_hook`` is forwarded to update_p.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
@@ -399,6 +389,7 @@ def fit(ds, cfg, variant="full", callback=None, p_sweep_hook=None):
         seed_p = blend(zs, delta)
         zs = [update_z(v, ds_n.views[v], anchors[v], zs, delta, seed_p, cfg.alpha, 0.0)
               for v in range(nviews)]
+        del seed_p
     timings["init"] = time.perf_counter() - t
 
     state = SolverState(
@@ -409,27 +400,20 @@ def fit(ds, cfg, variant="full", callback=None, p_sweep_hook=None):
         timings=timings,
     )
     state.objective_trace.append(objective(state, ds_n, anchors, cfg))
-    if callback is not None:
-        callback("init", state)
 
     per_iter = []
     for it in range(1, cfg.outer_max_iter + 1):
         t_it = time.perf_counter()
         b = blend(state.zs, state.delta)
         state.p, state.gamma = update_p(b, cfg.c, sweep_hook=p_sweep_hook)
-        if callback is not None:
-            callback("update_p", state)
+        del b  # no later block reads the blend, so it leaves the working set here
 
         if variant == "full":
             for v in range(nviews):
                 state.zs[v] = update_z(v, ds_n.views[v], anchors[v], state.zs,
                                        state.delta, state.p, cfg.alpha, cfg.beta)
-                if callback is not None:
-                    callback(f"update_z:{v}", state)
 
         state.delta = update_delta(state.zs, state.p)
-        if callback is not None:
-            callback("update_delta", state)
 
         state.iterations = it
         obj = objective(state, ds_n, anchors, cfg)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import udbgl
+import udbgl.solver as solver_mod
 
 
 def simplex_qp_oracle(H, f):
@@ -133,3 +134,21 @@ def source_env(**extra):
         p for p in (src, env.get("PYTHONPATH")) if p)
     env.update(extra)
     return env
+
+
+def watch_solver(monkeypatch, name, seen=None):
+    """Replace ``udbgl.solver.<name>``, which fit looks up at each call, by a
+    wrapper that passes every call through and then calls ``seen(args,
+    result)`` when given. Returns the list of the results, one per call."""
+    real = getattr(solver_mod, name)
+    results = []
+
+    def wrapper(*args, **kwargs):
+        out = real(*args, **kwargs)
+        results.append(out)
+        if seen is not None:
+            seen(args, out)
+        return out
+
+    monkeypatch.setattr(solver_mod, name, wrapper)
+    return results

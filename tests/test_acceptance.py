@@ -18,6 +18,7 @@ from conftest import (
     random_bipartite,
     simplex_qp_oracle,
     source_env,
+    watch_solver,
 )
 
 import udbgl.solver as solver_mod
@@ -25,7 +26,7 @@ from udbgl.dataset import synth_blobs
 from udbgl.graphs import EDGE_EPS, count_components, extract_labels
 from udbgl.metrics import acc, contingency, nmi, purity
 from udbgl.numerics import project_rows_onto_simplex, solve_simplex_qp_rows
-from udbgl.solver import SolverConfig, fit, objective, update_f
+from udbgl.solver import SolverConfig, SolverState, fit, objective, update_f
 
 BLOBS = dict(n=300, c=3, n_views=3, dims=[4, 4, 4], noise=0.1)
 
@@ -56,28 +57,38 @@ def test_criterion_01_synthetic_recovery():
                f"10/10 runs with exactly 3 components, {elapsed:.1f}s total")
 
 
-def test_criterion_02_constraint_suite():
-    """After every solver update over 5 seeded runs: Z and P row sums within
+def test_criterion_02_constraint_suite(monkeypatch):
+    """Wherever fit produces a graph or a weight vector over 5 seeded runs
+    (the initial state, scored by fit's first objective call, and every
+    update_p, update_z and update_delta return): Z and P row sums within
     1e-8 of 1, entries >= -1e-12, delta on the simplex to the same bounds."""
     violations = 0
     checks = 0
 
-    def check(stage, state):
+    def check(*mats):
         nonlocal violations, checks
-        mats = [*state.zs, state.p]
         for w in mats:
             checks += 1
-            if np.abs(w.sum(axis=1) - 1.0).max() > 1e-8 or w.min() < -1e-12:
+            if np.abs(w.sum(axis=-1) - 1.0).max() > 1e-8 or w.min() < -1e-12:
                 violations += 1
-        checks += 1
-        d = state.delta
-        if abs(d.sum() - 1.0) > 1e-8 or d.min() < -1e-12:
-            violations += 1
 
+    def check_init(args, _):
+        if len(scored) == 1:  # fit's first objective call scores the initial state
+            state = args[0]
+            check(*state.zs, state.p, state.delta)
+
+    scored = watch_solver(monkeypatch, "objective", check_init)
+    p_calls = watch_solver(monkeypatch, "update_p", lambda args, out: check(out[0]))
+    z_calls = watch_solver(monkeypatch, "update_z", lambda args, out: check(out))
+    delta_calls = watch_solver(monkeypatch, "update_delta", lambda args, out: check(out))
     for seed in range(5):
+        for calls in (scored, p_calls, z_calls, delta_calls):
+            calls.clear()
         ds = synth_blobs(n=100, c=3, n_views=2, noise=0.1, seed=seed)
-        fit(ds, SolverConfig(c=3, seed=seed), callback=check)
-    assert checks > 0
+        _, state = fit(ds, SolverConfig(c=3, seed=seed))
+        it = state.iterations
+        assert ([len(scored), len(p_calls), len(z_calls), len(delta_calls)]
+                == [it + 1, it, 2 * it, it])
     assert violations == 0, f"{violations} constraint violations in {checks} checks"
     _report(2, f"0 violations in {checks} constraint checks over 5 runs "
                f"(row sums within 1e-8, entries >= -1e-12)")
@@ -161,43 +172,54 @@ def test_criterion_06_per_subproblem_monotonicity(monkeypatch):
     block_rises = []
     sweeps = blocks = 0
     # fit's normalized dataset, anchors and config: the arguments of its
-    # first objective call, which comes before the "init" stage
+    # first objective call, which scores the initial state
     inputs = []
+    last_delta = None  # the weights update_delta is about to replace
 
-    def spy(state, *args):
+    def score(zs, p, delta):
+        return objective(SolverState(zs=zs, p=p, delta=delta, gamma=0.0), *inputs)
+
+    def on_objective(args, _):
         if not inputs:
-            inputs.extend(args)
-        return objective(state, *args)
+            inputs.extend(args[1:])
 
-    monkeypatch.setattr(solver_mod, "objective", spy)
+    def on_update_z(args, z):
+        v, zs, delta, p = args[0], args[3], args[4], args[5]
+        after = list(zs)
+        after[v] = z
+        block_rises.append(score(after, p, delta) - score(zs, p, delta))
+
+    def on_update_delta(args, delta):
+        nonlocal last_delta
+        zs, p = args
+        old = last_delta
+        block_rises.append(score(zs, p, delta) - score(zs, p, old))
+        # fusion term alone must not increase either
+        mix_new = solver_mod.blend(zs, delta)
+        mix_old = solver_mod.blend(zs, old)
+        block_rises.append(((mix_new - p) ** 2).sum() - ((mix_old - p) ** 2).sum())
+        last_delta = delta
+
+    watch_solver(monkeypatch, "objective", on_objective)
+    z_calls = watch_solver(monkeypatch, "update_z", on_update_z)
+    delta_calls = watch_solver(monkeypatch, "update_delta", on_update_delta)
     for seed in range(5):
         ds = synth_blobs(n=100, c=3, n_views=2, noise=0.1, seed=seed)
         cfg = SolverConfig(c=3, seed=seed)
-        prev = {"obj": None, "delta": None}
         inputs.clear()
+        last_delta = np.full(ds.n_views, 1.0 / ds.n_views)
+        z_calls.clear()
+        delta_calls.clear()
 
         def on_sweep(rec):
             nonlocal sweeps
             sweeps += 1
             sweep_rises.append(rec["surrogate_after"] - rec["surrogate_before"])
 
-        def on_stage(stage, state):
-            nonlocal blocks
-            obj = objective(state, *inputs)
-            if stage.startswith("update_z") or stage == "update_delta":
-                blocks += 1
-                block_rises.append(obj - prev["obj"])
-            if stage == "update_delta" and prev["delta"] is not None:
-                # fusion term alone must not increase either
-                mix_new = solver_mod.blend(state.zs, state.delta)
-                mix_old = solver_mod.blend(state.zs, prev["delta"])
-                pw = state.p
-                block_rises.append(((mix_new - pw) ** 2).sum()
-                                   - ((mix_old - pw) ** 2).sum())
-            prev["obj"] = obj
-            prev["delta"] = state.delta.copy()
-
-        fit(ds, cfg, callback=on_stage, p_sweep_hook=on_sweep)
+        _, state = fit(ds, cfg, p_sweep_hook=on_sweep)
+        seen = len(z_calls) + len(delta_calls)
+        assert seen == state.iterations * (ds.n_views + 1)
+        blocks += seen
 
     worst_sweep = max(sweep_rises)
     worst_block = max(block_rises)
@@ -238,21 +260,29 @@ def test_criterion_07_convergence_shape():
 _SCALING_CHILD = """
 import json, time
 import numpy as np
+import udbgl.solver as solver_mod
 from udbgl.dataset import synth_blobs
 from udbgl.solver import SolverConfig, fit
 
+stamps = []
+real_update_delta = solver_mod.update_delta
+
+
+def stamped_update_delta(*args):
+    delta = real_update_delta(*args)
+    stamps.append(time.process_time())
+    return delta
+
+
+solver_mod.update_delta = stamped_update_delta
 sets = {n: synth_blobs(n=n, c=3, n_views=3, dims=[12] * 3, noise=0.1, seed=0)
         for n in (2000, 4000, 8000)}
 times = {n: float("inf") for n in sets}
 for _ in range(3):
     for n, ds in sets.items():
-        stamps = []
-
-        def on_stage(stage, state):
-            if stage == "update_delta":
-                stamps.append(time.process_time())
-
-        fit(ds, SolverConfig(c=3, m=10), callback=on_stage)
+        stamps.clear()
+        _, state = fit(ds, SolverConfig(c=3, m=10))
+        assert len(stamps) == state.iterations, (len(stamps), state.iterations)
         times[n] = min(times[n], float(np.median(np.diff(stamps))))
 print(json.dumps(times))
 """
@@ -262,7 +292,7 @@ def test_criterion_08_linear_scaling():
     """m=10, d=12, V=3: per-outer-iteration time grows by a factor in
     [1.5, 3.0] per doubling of n over 2000 -> 4000 -> 8000. The estimator is
     the median process CPU time of a fit's steady-state iterations, each
-    timed from one update_delta stage to the next (so the first iteration,
+    timed from one update_delta return to the next (so the first iteration,
     which carries the one-off gamma escalation, is left out), the lowest of
     three fits per size run in turn 2000, 4000, 8000, 2000, ... The fits run
     in one child process with BLAS on 1 thread, where CPU time does not

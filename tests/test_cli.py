@@ -264,9 +264,11 @@ def test_bad_configs_exit_2(tmp_path, capsys, blobs, raw):
     {"views": ["v.csv"], "delimiter": 5},
     {"views": ["v.csv"], "delimiter": ";;"},
     {"views": ["v.csv"], "header": "x"},  # truthy: would drop the first row
+    {"views": ["v.csv"], "labels": "nan.csv"},  # NaN would load as a class of its own
 ])
 def test_malformed_manifest_exits_2(tmp_path, capsys, command, manifest):
     np.savetxt(tmp_path / "v.csv", np.arange(12.0).reshape(6, 2), delimiter=",")
+    (tmp_path / "nan.csv").write_text("0\nnan\n1\nnan\n0\n1\n")
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     cfg = write_config(tmp_path, manifest="manifest.json", c=2)
     out = tmp_path / "o"
@@ -319,6 +321,22 @@ def test_synth_nonpositive_dims_exits_2(tmp_path, capsys):
 def test_synth_invalid_shape_exits_2(tmp_path):
     assert main(["synth", "--n", "2", "--c", "5", "--views", "1",
                  "--out", str(tmp_path / "d")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("noise, message", [
+    ("nan", "noise must be a finite number >= 0"),
+    ("inf", "noise must be a finite number >= 0"),
+    ("-0.5", "noise must be a finite number >= 0"),
+    ("-0.05", "noise must be a finite number >= 0"),
+    ("1e308", "noise is too large"),
+    ("1e307", "noise is too large"),
+], ids=["nan", "inf", "-0.5", "-0.05", "1e308", "1e307"])
+def test_synth_bad_noise_exits_2(tmp_path, capsys, noise, message):
+    out = tmp_path / "d"
+    assert main(["synth", "--n", "30", "--c", "3", "--views", "1", f"--noise={noise}",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_unknown_variant_is_an_argparse_error(tmp_path, blobs):
@@ -727,6 +745,29 @@ def test_grid_all_cells_failing_exits_3(tmp_path, capsys):
                        grid={"alpha": [1.0, 0.1], "beta": [1.0], "m": [3]})
     assert main(["grid", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SOLVER
     assert "every cell failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, subsample, reason", [
+    # --subsample 2 leaves fewer samples than the only m, so every cell is skipped
+    ({"m": [3]}, "2", "m=3 exceeds sample count n=2"),
+    ({"m": [2]}, "10000", "m=2 must be at least c=3"),
+    ({"alpha": [-1.0, 0.0]}, "10000", "alpha, beta must be positive"),
+], ids=["every-m-above-n", "every-m-below-c", "every-alpha-nonpositive"])
+def test_grid_no_cell_can_run_exits_2_before_any_fit(tmp_path, capsys, blobs, monkeypatch,
+                                                     grid, subsample, reason):
+    # a usage error, not a solver failure ("every cell failed", exit 3)
+    import udbgl.cli as cli
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a grid cell ran a fit")
+
+    monkeypatch.setattr(cli, "fit", no_fit)
+    cfg = write_config(tmp_path, grid={"alpha": [1.0], "beta": [1.0], **grid}, **blobs)
+    out = tmp_path / "o"
+    assert main(["grid", "--config", cfg, "--subsample", subsample,
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert f"error: no grid cell can run: {reason}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

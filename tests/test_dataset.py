@@ -92,6 +92,14 @@ def test_load_error_paths(tmp_path):
     with pytest.raises(ValueError, match="non-numeric"):
         load_views(d / "manifest.json")
 
+    # np.unique would count NaN as a class of its own: 0 nan 1 nan as 0 2 1 2
+    (d / "v.csv").write_text("0.0\n1.0\n2.0\n3.0\n")
+    for bad in ("nan", "inf", "-inf"):
+        (d / "labels.csv").write_text(f"0\n{bad}\n1\n{bad}\n")
+        (d / "manifest.json").write_text(json.dumps({"views": ["v.csv"], "labels": "labels.csv"}))
+        with pytest.raises(ValueError, match="non-finite label"):
+            load_views(d / "manifest.json")
+
 
 # ---------------------------------------------------------------------------
 # normalization
@@ -208,3 +216,9 @@ def test_synth_blobs_rejects_bad_arguments():
             synth_blobs(5, 2, 1, dims=dims)
     with pytest.raises(ValueError, match="n must be an integer"):
         synth_blobs(30.5, 3, 1)
+    for noise in (-0.5, -0.05, float("nan"), float("inf"), True):
+        with pytest.raises(ValueError, match="noise must be a finite number >= 0"):
+            synth_blobs(30, 3, 1, noise=noise)
+    for noise in (1e307, 1e308):  # centers 1 + 10 noise apart need a box past the float maximum
+        with pytest.raises(ValueError, match="noise is too large"):
+            synth_blobs(30, 3, 1, noise=noise)

@@ -4,17 +4,19 @@ dims=[20]*3, noise=0.3, seed=0) with m = 50. A call's cost is its
 tracemalloc peak above the memory live when it starts: the temporaries it
 allocates, not the state it is handed. The sizes make one 4096-row block
 0.2 units, so a layer that formed any (n, m) temporary outside its budget
-would cross its bound."""
+would cross its bound. The state fit keeps between its blocks is bounded
+the same way."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import udbgl.solver as solver_mod
 from udbgl.anchors import build_anchors
 from udbgl.dataset import normalize, synth_blobs
 from udbgl.graphs import knn_bipartite_init
-from udbgl.solver import SolverConfig, SolverState, blend, objective, update_p, update_z
+from udbgl.solver import SolverConfig, SolverState, blend, fit, objective, update_p, update_z
 
 N, M = 20000, 50
 UNIT = N * M * 8  # bytes of one (n, m) float array
@@ -82,3 +84,29 @@ def test_normalize_holds_only_its_output(state):
     ds = state[0]
     views = sum(x.nbytes for x in ds.views)
     assert _peak_units(normalize, ds) * UNIT <= 1.1 * views
+
+
+class _FirstUpdateZ(Exception):
+    pass
+
+
+def test_fit_holds_no_blend_while_z_updates(state, monkeypatch):
+    # when the first update_z starts, fit holds the normalized views (1.2
+    # units), the three Z and P, and not the blend B that update_p was
+    # given (6.2 at the parent commit). The fit stops there
+    ds = state[0]
+    live = []
+
+    def first_update_z(*args):
+        live.append(tracemalloc.get_traced_memory()[0])
+        raise _FirstUpdateZ
+
+    monkeypatch.setattr(solver_mod, "update_z", first_update_z)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(_FirstUpdateZ):
+            fit(ds, SolverConfig(c=5, m=M))
+    finally:
+        tracemalloc.stop()
+    assert (live[0] - base) / UNIT <= 5.5

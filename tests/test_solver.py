@@ -6,6 +6,7 @@ from conftest import (
     dense_bipartite_laplacian,
     eigen_component_count,
     projection_oracle,
+    watch_solver,
     wide_feature_view,
 )
 
@@ -610,16 +611,25 @@ def test_fit_deterministic():
     assert np.array_equal(s1.delta, s2.delta)
 
 
-def test_fit_callback_stage_order():
-    ds = synth_blobs(30, 2, 2, noise=0.1, seed=4)
-    stages = []
-    fit(ds, SolverConfig(c=2), callback=lambda stage, state: stages.append(stage))
-    assert stages[0] == "init"
-    per_iter = ["update_p", "update_z:0", "update_z:1", "update_delta"]
-    body = stages[1:]
-    assert len(body) % len(per_iter) == 0
-    for i, stage in enumerate(body):
-        assert stage == per_iter[i % len(per_iter)]
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fit_block_order(monkeypatch, variant):
+    # full runs update_p, update_z per view and update_delta in every
+    # iteration; knn_fusion_only never touches Z; two_phase solves every Z
+    # once before the first update_p and never after it
+    ds = synth_blobs(30, 2, 3, noise=0.1, seed=4)
+    log = []
+    watch_solver(monkeypatch, "update_p", lambda args, out: log.append("p"))
+    watch_solver(monkeypatch, "update_z", lambda args, out: log.append(f"z{args[0]}"))
+    watch_solver(monkeypatch, "update_delta", lambda args, out: log.append("delta"))
+    _, state = fit(ds, SolverConfig(c=2), variant=variant)
+    views = ["z0", "z1", "z2"]
+    expected = {
+        "full": ["p", *views, "delta"] * state.iterations,
+        "knn_fusion_only": ["p", "delta"] * state.iterations,
+        "two_phase": views + ["p", "delta"] * state.iterations,
+    }[variant]
+    assert state.iterations >= 2
+    assert log == expected
 
 
 def test_fit_variants_produce_valid_labelings():
@@ -636,12 +646,13 @@ def test_fit_variants_produce_valid_labelings():
     assert scores["full"] >= scores["knn_fusion_only"] - 0.05
 
 
-def test_fit_knn_fusion_only_keeps_seed_graphs():
+def test_fit_knn_fusion_only_keeps_seed_graphs(monkeypatch):
     ds = synth_blobs(40, 2, 2, noise=0.1, seed=5)
-    seen = []
-    fit(ds, SolverConfig(c=2, m=6, K=3), variant="knn_fusion_only",
-        callback=lambda stage, state: seen.append(stage))
-    assert not any(s.startswith("update_z") for s in seen)
+    z_calls = watch_solver(monkeypatch, "update_z")
+    p_calls = watch_solver(monkeypatch, "update_p")
+    _, state = fit(ds, SolverConfig(c=2, m=6, K=3), variant="knn_fusion_only")
+    assert len(p_calls) == state.iterations >= 1
+    assert z_calls == []
 
 
 def test_fit_rejects_unknown_variant_and_bad_config():
